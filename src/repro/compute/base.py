@@ -173,8 +173,10 @@ class ComputeBackend:
         gap-count, gap-total, gap-total_sq, gap-min, gap-max, gap-buckets]);
         the kernel mutates it in place, exactly as marking each
         ``(starts[i], ends[i])`` in sequence would.  Preconditions the
-        callers guarantee: both arrays non-empty, non-decreasing, and
-        ``ends[i] > starts[i]``.
+        callers guarantee: both arrays non-empty, ``ends`` non-decreasing,
+        and ``ends[i] > starts[i]``.  Starts need no ordering of their own
+        (intervals may abut or share a start); the CPU stream lane's
+        access log and each order-preserving subsequence of it qualify.
         """
         raise NotImplementedError
 

@@ -47,6 +47,20 @@ from ..sim.fastforward import (CONFIRM_PERIODS, FF as _FF, STATS as _FF_STATS,
 _BATCH_MIN = 48
 
 
+def _per_line(values: np.ndarray | float, nlines: int,
+              name: str) -> np.ndarray:
+    """``values`` broadcast to one float per line, checked finite and >= 0."""
+    arr = np.asarray(values, dtype=np.float64)
+    try:
+        per_line = np.broadcast_to(arr, (nlines,))
+    except ValueError:
+        raise ConfigError(f"{name} needs a scalar or one entry per line "
+                          f"({nlines}), got shape {arr.shape}") from None
+    if not bool(np.all((arr >= 0) & (arr < math.inf))):
+        raise ConfigError(f"{name} must be finite and non-negative")
+    return per_line
+
+
 @dataclass
 class PhaseStats:
     """Outcome of one access phase."""
@@ -139,10 +153,9 @@ class Core:
         if nbytes <= 0:
             raise ConfigError("stream phase needs a positive size")
         nlines = -(-nbytes // self.line_bytes)
-        per_line = np.broadcast_to(np.asarray(cycles_per_line, dtype=np.float64),
-                                   (nlines,))
-        out_per_line = np.broadcast_to(
-            np.asarray(write_bytes_per_line, dtype=np.float64), (nlines,))
+        per_line = _per_line(cycles_per_line, nlines, "cycles_per_line")
+        out_per_line = _per_line(write_bytes_per_line, nlines,
+                                 "write_bytes_per_line")
         if write_base is None:
             write_base = base_addr + nlines * self.line_bytes
         self._write_cursor = write_base
@@ -380,7 +393,15 @@ class Core:
         compute, posted writes, batch drains) is replayed op for op with the
         hot bank/channel/counter state held in local variables, so the
         result is bit-identical to the per-line path at a fraction of its
-        interpreter overhead.  Runs of row-hit lines inside one open row are
+        interpreter overhead.  Busy-tracker and read-latency accounting is
+        deferred: each access only appends its ``[start, end)`` interval to
+        a stream-ordered log (one entry per read line, one per write
+        drain), which :meth:`IMCCounters.fold_stream_log` folds once, on
+        exit, before any slow-path call can record further traffic.  Every
+        logged access is served on one channel, so the log's ends strictly
+        increase and its starts ratchet through the issue floor — the
+        ordering the vectorised fold needs to equal per-access marking
+        (DESIGN.md §12).  Runs of row-hit lines inside one open row are
         further handed to the compute backend as one ``batch_issue`` call
         (DESIGN.md §12); batches never span a row crossing, a refresh
         deadline, or a write-drain trigger, so the per-line flow below
@@ -540,79 +561,28 @@ class Core:
         writes_v = cnt.writes.value
         rowh_v = cnt.row_hits.value
         rowm_v = cnt.row_misses.value
-        rl = cnt.read_latency
-        rl_count = rl.count
-        rl_total = rl.total
-        rl_tsq = rl.total_sq
-        rl_min = rl.min
-        rl_max = rl.max
-        rl_buckets = rl.buckets
 
-        # Busy trackers, inlined: [cur_start, cur_end, busy_ps, intervals,
-        # last_end, first_start, gap-histogram scalars..., gap buckets].
-        def pull(tracker):
-            g = tracker._gaps
-            return [tracker._cur_start, tracker._cur_end, tracker.busy_ps,
-                    tracker.intervals, tracker._last_end,
-                    tracker._first_start, g.count, g.total, g.total_sq,
-                    g.min, g.max, g.buckets]
-
-        def push(tracker, s) -> None:
-            (tracker._cur_start, tracker._cur_end, tracker.busy_ps,
-             tracker.intervals, tracker._last_end, tracker._first_start,
-             g_count, g_total, g_tsq, g_min, g_max, _) = s
-            g = tracker._gaps
-            g.count = g_count
-            g.total = g_total
-            g.total_sq = g_tsq
-            g.min = g_min
-            g.max = g_max
-
-        rq = pull(cnt.read_queue)
-        wq = pull(cnt.write_queue)
-        cb = pull(cnt.combined)
-
-        def mark(s, start, end) -> None:
-            # BusyTracker.mark_busy on the pulled list (end > start always
-            # holds here: end = cas + latency + burst).
-            cur_end = s[1]
-            if s[0] is None:
-                s[0] = start
-                s[1] = end
-                if s[5] is None:
-                    s[5] = start
-                return
-            if start <= cur_end:
-                if end > cur_end:
-                    s[1] = end
-                return
-            s[2] += cur_end - s[0]
-            s[3] += 1
-            s[4] = cur_end
-            gap = start - (cur_end or 0)
-            s[6] += 1
-            s[7] += gap
-            s[8] += gap * gap
-            if s[9] is None:
-                s[9] = gap
-            elif gap < s[9]:
-                s[9] = gap
-            if s[10] is None:
-                s[10] = gap
-            elif gap > s[10]:
-                s[10] = gap
-            b = 0 if gap < 1 else gap.bit_length()
-            buckets = s[11]
-            buckets[b] = buckets.get(b, 0) + 1
-            s[0] = start
-            s[1] = end
+        # Access log: one [start, end) busy interval per access in stream
+        # order, folded into the busy trackers and the read-latency
+        # histogram once, at lane exit (IMCCounters.fold_stream_log).
+        # Per-line accesses collect in acc_s/acc_e; a batch first closes
+        # them into an int64 segment, then appends its own issue/end
+        # sequences as the next one, so a long lane holds 16 bytes per
+        # access rather than two Python ints.  n_seg counts the segment
+        # entries; w_at holds the log indices of the write entries.
+        seg_s: list = []
+        seg_e: list = []
+        n_seg = 0
+        acc_s: list = []
+        acc_e: list = []
+        w_at: list = []
+        log_s = acc_s.append
+        log_e = acc_e.append
 
         lane_count = 0
         batched = 0
         backend = get_backend()
         batch_issue = backend.batch_issue
-        batch_hist = backend.batch_latency_hist
-        batch_mark = backend.batch_mark_busy
         searchsorted = np.searchsorted
         can_batch = outs_a is not None or not has_writes
         depth = len(ft)
@@ -651,6 +621,15 @@ class Core:
                         r_next_col, bus if bus > r_dfree else r_dfree,
                         r_next_ref, CL, BURST, TCCD)
                     if done:
+                        if acc_s:
+                            seg_s.append(np.array(acc_s, dtype=np.int64))
+                            seg_e.append(np.array(acc_e, dtype=np.int64))
+                            n_seg += len(acc_s)
+                            acc_s.clear()
+                            acc_e.clear()
+                        seg_s.append(issue_a)
+                        seg_e.append(de_a)
+                        n_seg += done
                         if r_act_floor > r_next_act:
                             r_next_act = r_act_floor
                         de_last = int(de_a[-1])
@@ -669,106 +648,16 @@ class Core:
                         batched += done
                         floor = int(issue_a[-1])
                         stall += int(stall_inc)
-                        now = int(now_a[-1])
-                        # Counter folds, in stream order.  Starts are
-                        # non-decreasing (the issue floor ratchets) and every
-                        # data end strictly exceeds all previously marked
-                        # ends (each cas >= busfree - CL, so de >= busfree +
-                        # BURST), so consecutive overlapping intervals merge
-                        # into runs: marking one merged run is bit-identical
-                        # to marking each line — interior marks only extend
-                        # cur_end, and at a run break the tracker's cur_end
-                        # equals the previous line's de.
-                        if type(issue_a) is list:
-                            # Short run: scalar folds beat the ndarray
-                            # round-trip.  Latencies are folded run-length
-                            # encoded (steady-state batches repeat one
-                            # latency).
-                            run_s = run_e = None
-                            rle_lat = None
-                            rle_n = 0
-                            for b_i, b_d in zip(issue_a, de_a):
-                                lat = b_d - b_i
-                                if lat == rle_lat:
-                                    rle_n += 1
-                                else:
-                                    if rle_n:
-                                        rl_count += rle_n
-                                        rl_total += rle_lat * rle_n
-                                        rl_tsq += rle_lat * rle_lat * rle_n
-                                        if rl_min is None or rle_lat < rl_min:
-                                            rl_min = rle_lat
-                                        if rl_max is None or rle_lat > rl_max:
-                                            rl_max = rle_lat
-                                        b = (0 if rle_lat < 1
-                                             else rle_lat.bit_length())
-                                        rl_buckets[b] = (
-                                            rl_buckets.get(b, 0) + rle_n)
-                                    rle_lat = lat
-                                    rle_n = 1
-                                if run_s is None:
-                                    run_s = b_i
-                                    run_e = b_d
-                                elif b_i <= run_e:
-                                    if b_d > run_e:
-                                        run_e = b_d
-                                else:
-                                    mark(rq, run_s, run_e)
-                                    mark(cb, run_s, run_e)
-                                    run_s = b_i
-                                    run_e = b_d
-                            if rle_n:
-                                rl_count += rle_n
-                                rl_total += rle_lat * rle_n
-                                rl_tsq += rle_lat * rle_lat * rle_n
-                                if rl_min is None or rle_lat < rl_min:
-                                    rl_min = rle_lat
-                                if rl_max is None or rle_lat > rl_max:
-                                    rl_max = rle_lat
-                                b = 0 if rle_lat < 1 else rle_lat.bit_length()
-                                rl_buckets[b] = rl_buckets.get(b, 0) + rle_n
-                            mark(rq, run_s, run_e)
-                            mark(cb, run_s, run_e)
-                            now_t = now_a
-                        else:
-                            # Starts ratchet and ends are non-decreasing, so
-                            # the backend's vectorised tracker fold applies
-                            # directly — it merges overlap runs and folds the
-                            # idle-gap histogram without a per-run Python
-                            # loop (the dominant cost when the stream has a
-                            # gap between every line).
-                            batch_mark(rq, issue_a, de_a)
-                            batch_mark(cb, issue_a, de_a)
-                            lats = de_a - issue_a
-                            l0 = int(lats[0])
-                            if bool((lats == l0).all()):
-                                rl_count += done
-                                rl_total += l0 * done
-                                rl_tsq += l0 * l0 * done
-                                if rl_min is None or l0 < rl_min:
-                                    rl_min = l0
-                                if rl_max is None or l0 > rl_max:
-                                    rl_max = l0
-                                b = 0 if l0 < 1 else l0.bit_length()
-                                rl_buckets[b] = rl_buckets.get(b, 0) + done
-                            else:
-                                (rl_count, rl_total, rl_tsq, rl_min,
-                                 rl_max) = batch_hist(
-                                    rl_count, rl_total, rl_tsq, rl_min,
-                                    rl_max, rl_buckets, lats)
-                            now_t = None
                         # The last min(done, depth) finish times land in the
                         # ring exactly where the per-line walk would leave
                         # them (earlier slots were overwritten).
-                        start_p = done - depth
-                        if start_p < 0:
-                            start_p = 0
-                        if now_t is None:
-                            now_t = now_a[start_p:].tolist()
-                        else:
-                            now_t = now_t[start_p:]
+                        now_t = now_a[-depth:]
+                        if type(now_t) is not list:
+                            now_t = now_t.tolist()
+                        now = now_t[-1]
+                        start_p = idx + done - len(now_t)
                         for off, val in enumerate(now_t):
-                            ft[(idx + start_p + off) % depth] = val
+                            ft[(start_p + off) % depth] = val
                         idx = (idx + done) % depth
                         backlog = backlog_out
                         if n_posts:
@@ -864,20 +753,10 @@ class Core:
                     else:
                         w_next_ref = r_next_ref
             floor = issue
-            # IMCCounters.record(False, issue, de, hit, miss).
+            # IMCCounters.record(False, issue, de, hit, miss), deferred.
             reads_v += 1
-            mark(rq, issue, de)
-            lat = de - issue
-            rl_count += 1
-            rl_total += lat
-            rl_tsq += lat * lat
-            if rl_min is None or lat < rl_min:
-                rl_min = lat
-            if rl_max is None or lat > rl_max:
-                rl_max = lat
-            b = 0 if lat < 1 else lat.bit_length()
-            rl_buckets[b] = rl_buckets.get(b, 0) + 1
-            mark(cb, issue, de)
+            log_s(issue)
+            log_e(de)
             # Stall + compute + prefetch window.
             if de > now:
                 stall += de - now
@@ -928,12 +807,9 @@ class Core:
                         # is line-sequential, so each same-row run collapses
                         # to one batch_row_timing call: per-burst state
                         # (next_col, data_free, next_pre) is affine in the
-                        # burst index and the mark sequence (wi, de_0) ..
-                        # (wi, de_last) is one mark(wi, de_last) — wi never
-                        # exceeds the running end, so only the final end
-                        # survives, identically to marking each burst.  Row
-                        # crossings (the input/output ping-pong) replay one
-                        # burst through the exact rank path first.
+                        # burst index.  Row crossings (the input/output
+                        # ping-pong) replay one burst through the exact rank
+                        # path first.
                         n_pend = len(pending)
                         pos = 0
                         while pos < n_pend:
@@ -963,8 +839,6 @@ class Core:
                                 r_act_floor = act_floor(acts_r)
                                 rowm_v += 1
                                 writes_v += 1
-                                mark(wq, wi, de)
-                                mark(cb, wi, de)
                                 pos += 1
                                 run -= 1
                                 if not run:
@@ -987,18 +861,11 @@ class Core:
                             lane_count += run
                             batched += run
                             writes_v += run
-                            mark(wq, wi, de)
-                            mark(cb, wi, de)
                             pos += run
                     else:
                         # Whole drain in one batch_row_timing call: every
                         # burst is a hit on the confirmed write row with the
                         # common arrival wi, so only the endpoints matter.
-                        # The mark sequence (wi, de_0) .. (wi, de_last)
-                        # collapses to one mark(wi, de_last): each later
-                        # start wi is <= the current end, so only the final
-                        # end survives and gap accounting sees the first
-                        # interval alone — identical either way.
                         count = len(pending)
                         if not w_open:
                             # A refresh closed the write row since the last
@@ -1027,8 +894,6 @@ class Core:
                             rowm_v += 1
                             writes_v += 1
                             lane_count += 1
-                            mark(wq, wi, de_l)
-                            mark(cb, wi, de_l)
                             w_open = True
                             count -= 1
                         if count:
@@ -1050,8 +915,13 @@ class Core:
                             batched += count
                             writes_v += count
                             rowh_v += count
-                            mark(wq, wi, de_l)
-                            mark(cb, wi, de_l)
+                    # One log entry per drain: every burst arrives at wi and
+                    # ends strictly after the one before (the bus now ends
+                    # at the last), so marking (wi, de_0) .. (wi, de_last)
+                    # equals marking (wi, de_last) alone.
+                    w_at.append(n_seg + len(acc_s))
+                    log_s(wi)
+                    log_e(bus)
                     pending.clear()
                     floor = wi
             if bail_posts:
@@ -1092,14 +962,12 @@ class Core:
         cnt.writes.value = writes_v
         cnt.row_hits.value = rowh_v
         cnt.row_misses.value = rowm_v
-        rl.count = rl_count
-        rl.total = rl_total
-        rl.total_sq = rl_tsq
-        rl.min = rl_min
-        rl.max = rl_max
-        push(cnt.read_queue, rq)
-        push(cnt.write_queue, wq)
-        push(cnt.combined, cb)
+        if acc_s:
+            seg_s.append(acc_s)
+            seg_e.append(acc_e)
+        if seg_s:
+            cnt.fold_stream_log(np.concatenate(seg_s, dtype=np.int64),
+                                np.concatenate(seg_e, dtype=np.int64), w_at)
         _FF_STATS.lane_requests += lane_count
         _FF_STATS.batched_requests += batched
         if bail_posts:
@@ -1187,8 +1055,9 @@ class Core:
         addrs = np.asarray(addrs)
         if addrs.size == 0:
             return PhaseStats(self.now_ps, self.now_ps)
-        if cycles_per_access < 0:
-            raise ConfigError("cycles_per_access must be non-negative")
+        if not 0 <= cycles_per_access < math.inf:
+            raise ConfigError("cycles_per_access must be finite and "
+                              "non-negative")
         start_ps = self.now_ps
         stats = PhaseStats(start_ps=start_ps, end_ps=start_ps)
         lead = 1 if dependent else max(self.prefetch_depth, 1)

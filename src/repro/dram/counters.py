@@ -14,6 +14,9 @@ the real hardware could not expose, so the bound's pessimism is measurable.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..compute import get_backend
 from .timing import DDR3Timings
 
 
@@ -138,6 +141,45 @@ class IMCCounters:
         if misses:
             self.row_misses.add(misses)
 
+    def fold_stream_log(self, starts, ends, write_at: list) -> None:
+        """Account the busy intervals and read latencies of a stream log.
+
+        ``starts``/``ends`` hold one ``[start, end)`` busy interval per
+        access, in the order the CPU stream lane issued them; ``write_at``
+        lists the indices of the write entries, every other entry is a
+        read.  The whole log is marked on the any-queue tracker, the write
+        entries on the write queue and the read entries on the read queue,
+        and each read's ``end - start`` is recorded as its latency.  The
+        scalar counters (reads, writes, row hits/misses) stay with the
+        caller.
+
+        Bit-identical to marking each access in turn, as :meth:`record`
+        does: every entry of the log is served on one channel, so its ends
+        strictly increase (bus serialisation) and its starts ratchet
+        through the issue floor.  Each tracker's input is an
+        order-preserving subsequence of the log, which is exactly what the
+        backend's ``batch_mark_busy`` fold requires; the latency fold is
+        order-free.
+        """
+        if not len(starts):
+            return
+        kernels = get_backend()
+        s = np.asarray(starts, dtype=np.int64)
+        e = np.asarray(ends, dtype=np.int64)
+        _fold_busy(kernels, self.combined, s, e)
+        if write_at:
+            _fold_busy(kernels, self.write_queue, s[write_at], e[write_at])
+            reads = np.ones(len(starts), dtype=bool)
+            reads[write_at] = False
+            s = s[reads]
+            e = e[reads]
+            if not len(s):
+                return
+        _fold_busy(kernels, self.read_queue, s, e)
+        h = self.read_latency
+        h.count, h.total, h.total_sq, h.min, h.max = kernels.batch_latency_hist(
+            h.count, h.total, h.total_sq, h.min, h.max, h.buckets, e - s)
+
     def finish(self) -> None:
         """Close open busy intervals at the end of a run."""
         self.read_queue.finish()
@@ -196,3 +238,21 @@ class IMCCounters:
         """Ground truth: mean gap between busy spans of the combined queue."""
         gaps = self.combined.idle_gaps_ps()
         return self.timings.ps_to_cycles(round(gaps.mean)) if gaps.count else 0.0
+
+
+def _fold_busy(kernels, tracker, starts, ends) -> None:
+    """Fold ordered intervals into ``tracker`` via ``batch_mark_busy``.
+
+    The kernel works on the tracker's state flattened into the 12-slot
+    list [cur_start, cur_end, busy_ps, intervals, last_end, first_start,
+    gap-count, gap-total, gap-total_sq, gap-min, gap-max, gap-buckets];
+    the bucket dict is shared, so it is updated in place.
+    """
+    g = tracker._gaps
+    s = [tracker._cur_start, tracker._cur_end, tracker.busy_ps,
+         tracker.intervals, tracker._last_end, tracker._first_start,
+         g.count, g.total, g.total_sq, g.min, g.max, g.buckets]
+    kernels.batch_mark_busy(s, starts, ends)
+    (tracker._cur_start, tracker._cur_end, tracker.busy_ps,
+     tracker.intervals, tracker._last_end, tracker._first_start,
+     g.count, g.total, g.total_sq, g.min, g.max, _) = s

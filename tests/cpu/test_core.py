@@ -123,3 +123,37 @@ def test_invalid_arguments():
         core.advance_cycles(-1)
     with pytest.raises(ConfigError):
         core.advance_ps(-1)
+
+
+@pytest.mark.parametrize("cycles", [-5.0, float("nan"), float("inf"),
+                                    np.array([1.0, -1.0, 1.0, 1.0])])
+def test_stream_phase_rejects_invalid_cycles_per_line(cycles):
+    core = make_core()
+    with pytest.raises(ConfigError, match="cycles_per_line"):
+        core.stream_read_phase(0, 4 * 64, cycles_per_line=cycles)
+    assert core.now_ps == 0
+
+
+@pytest.mark.parametrize("write_bytes", [-1.0, float("nan"), float("inf")])
+def test_stream_phase_rejects_invalid_write_bytes(write_bytes):
+    core = make_core()
+    with pytest.raises(ConfigError, match="write_bytes_per_line"):
+        core.stream_read_phase(0, 4 * 64, cycles_per_line=1.0,
+                               write_bytes_per_line=write_bytes)
+    assert core.controller.counters.writes.value == 0
+
+
+def test_stream_phase_rejects_wrong_length_per_line_arrays():
+    core = make_core()
+    with pytest.raises(ConfigError, match="one entry per line"):
+        core.stream_read_phase(0, 4 * 64, cycles_per_line=np.ones(3))
+    with pytest.raises(ConfigError, match="one entry per line"):
+        core.stream_read_phase(0, 4 * 64, cycles_per_line=1.0,
+                               write_bytes_per_line=np.ones(5))
+
+
+@pytest.mark.parametrize("cycles", [float("nan"), float("inf")])
+def test_random_phase_rejects_non_finite_cycles(cycles):
+    core = make_core()
+    with pytest.raises(ConfigError, match="cycles_per_access"):
+        core.random_read_phase(np.array([0, 64]), cycles)
