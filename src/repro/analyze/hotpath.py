@@ -17,7 +17,8 @@ roots:
   ``sim`` path segment),
 * every callback handed to ``schedule_at`` / ``schedule_after`` (resolved
   exactly like the race pass resolves handlers),
-* the fast-forward executors (everything in ``sim/fastforward.py``),
+* every function that reads the fast-path switch (``FF.on`` /
+  ``_FF.on``) — the gates of the fused lane executors,
 * ``ComputeBackend`` kernel implementations (methods of classes deriving
   from a ``*Backend`` base, plus everything under a ``compute`` path
   segment).
@@ -39,8 +40,7 @@ Inside statement loops of hot functions the pass flags:
 * ``backend-bypass`` — the key rule: an element-wise loop over batch data
   (masks, rows, values, words …) whose body is pure compute — compares and
   arithmetic, no simulator interaction — outside :mod:`repro.compute`.
-  These loops belong behind the backend seam; the findings double as the
-  numba-backend worklist (the ROADMAP's "event-driven residue").
+  These loops belong behind the backend seam.
 
 **Part 2 — integer/float bounds** (:class:`HotBoundsPass`).  A small
 interval abstract interpreter over integer arithmetic, seeded from name
@@ -167,43 +167,26 @@ def _callback_names(modules: list[ModuleSource]) -> set[str]:
     return names
 
 
-#: Fast-forward helpers that merely toggle or query the mode — referencing
-#: these does not make a function an executor (verification harnesses and
-#: CLIs flip the mode without ever driving the skip machinery).
-_FF_TOGGLE_NAMES = frozenset({"is_enabled", "set_enabled", "exact_mode"})
+#: Names the fast-path switch (:data:`repro.sim.fastforward.FF`) is bound to.
+_FF_SWITCH_NAMES = frozenset({"FF", "_FF"})
 
 
-def _fastforward_names(modules: list[ModuleSource]) -> set[str]:
-    """Top-level names defined by the fast-forward skip machinery."""
-    names: set[str] = set()
-    for module in modules:
-        if os.path.basename(module.path) != "fastforward.py":
-            continue
-        for stmt in module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and stmt.name not in _FF_TOGGLE_NAMES:
-                names.add(stmt.name)
-    return names
-
-
-def _references_any(fn: ast.AST, names: set[str]) -> bool:
+def _reads_ff_switch(fn: ast.AST) -> bool:
+    """True when ``fn`` reads ``FF.on`` / ``_FF.on`` (gates a fast path)."""
     for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and node.id in names:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in names:
+        if (isinstance(node, ast.Attribute) and node.attr == "on"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in _FF_SWITCH_NAMES):
             return True
     return False
 
 
 def _is_root(record: FunctionRecord, callback_names: set[str],
-             backend_classes: set[str], ff_names: set[str]) -> bool:
-    """Event-loop roots: run/step, schedule callbacks, FF executors, kernels."""
+             backend_classes: set[str]) -> bool:
+    """Event-loop roots: run/step, schedule callbacks, FF gates, kernels."""
     parts = _path_parts(record.module.path)
     name = record.node.name
     if "sim" in parts and name in ("run", "step"):
-        return True
-    if os.path.basename(record.module.path) == "fastforward.py":
         return True
     if "compute" in parts:
         return True
@@ -211,10 +194,10 @@ def _is_root(record: FunctionRecord, callback_names: set[str],
         return True
     if name in callback_names:
         return True
-    # A fast-forward *executor* is a function that drives the skip
-    # machinery (EpochSkipper, StateGroup, PeriodDetector, apply_delta) —
-    # the fused per-event loops in cpu/core.py and jafar/device.py.
-    return bool(ff_names) and _references_any(record.node, ff_names)
+    # A function that reads the fast-path switch gates a fused executor:
+    # the stream lane in cpu/core.py, the controller lanes, the JAFAR
+    # fused row run.
+    return _reads_ff_switch(record.node)
 
 
 def _callback_roots(callback: ast.expr | None) -> set[str]:
@@ -257,7 +240,6 @@ def compute_hot_records(
         for module in modules for node in ast.walk(module.tree)
         if isinstance(node, ast.ClassDef) and _is_backend_class(node)}
     callback_names = _callback_names(modules)
-    ff_names = _fastforward_names(modules)
     hot: set[tuple[str, str]] = set()
     frontier: list[FunctionRecord] = []
 
@@ -268,7 +250,7 @@ def compute_hot_records(
             frontier.append(record)
 
     for record in records:
-        if _is_root(record, callback_names, backend_classes, ff_names):
+        if _is_root(record, callback_names, backend_classes):
             mark(record)
     while frontier:
         record = frontier.pop()
@@ -617,7 +599,7 @@ def _bypass_findings(record: FunctionRecord, loop) -> list[Finding]:
         "backend-bypass",
         f"element-wise loop over {name} in hot function {record.qualname} "
         "bypasses the repro.compute seam; route it through a ComputeBackend "
-        "kernel (this is the numba worklist)",
+        "kernel",
         record.module.path, loop.lineno, loop.col_offset)]
 
 

@@ -1,17 +1,17 @@
 """Fast-forward sanitizer: force exact execution, after proving it's safe.
 
 Steady-state fast-forward (:mod:`repro.sim.fastforward`) elides work the
-other sanitizers want to see — epoch skips bypass ``Bank.access`` entirely
-and the controller/CPU/JAFAR fused lanes run inlined timing algebra — so
-while SimSan is installed the simulation must run exact.  But simply
+other sanitizers want to see — the controller/CPU/JAFAR fused lanes run
+inlined timing algebra and backend batch kernels instead of ``Bank.access``
+— so while SimSan is installed the simulation must run exact.  But simply
 switching the fast paths off would also exempt them from checking.  So on
 install, *before* forcing exact mode, this sanitizer runs a short
 cross-check: one measurement point simulated twice on identical fresh
 machines, once fast-forwarded and once exact, and every simulated output
-field compared.  The workload is sized so both epoch skippers (device and
-CPU stream) and the fused lanes engage; any divergence — a broken
-extrapolation, a drifted inlined fast path — aborts install with
-:class:`SanitizerError`.
+field compared.  The workload is sized so the fused lanes engage (the
+check fails as vacuous when the stream lane served no request); any
+divergence — a drifted inlined fast path, a skewed batch kernel — aborts
+install with :class:`SanitizerError`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ class FastForwardSanitizer:
 
     name = "fastforward"
 
-    #: Rows in the cross-check column: large enough that the device epoch
-    #: skipper confirms and jumps (>= 8 DRAM rows) and the stream lanes
-    #: serve thousands of requests, small enough to stay test-suite cheap.
+    #: Rows in the cross-check column: large enough that the JAFAR fused
+    #: row runs engage and the stream lanes serve thousands of requests,
+    #: small enough to stay test-suite cheap.
     CHECK_ROWS = 8192
     CHECK_SELECTIVITY = 0.5
     CHECK_SEED = 3
@@ -60,7 +60,7 @@ class FastForwardSanitizer:
         fast = measure_point(self.CHECK_SELECTIVITY, self.CHECK_ROWS,
                              config=config, seed=self.CHECK_SEED,
                              kernel="branchy")
-        exercised = STATS.skips > 0 or STATS.lane_requests > 0
+        exercised = STATS.lane_requests > 0
         with exact_mode():
             exact = measure_point(self.CHECK_SELECTIVITY, self.CHECK_ROWS,
                                   config=config, seed=self.CHECK_SEED,
@@ -77,7 +77,7 @@ class FastForwardSanitizer:
             )
         if not exercised:
             raise SanitizerError(
-                "fast-forward cross-check was vacuous: neither an epoch "
-                "skip nor a fused-lane request occurred, so the fast paths "
-                "were not actually exercised"
+                "fast-forward cross-check was vacuous: no fused-lane "
+                "request occurred, so the fast paths were not actually "
+                "exercised"
             )

@@ -74,9 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "the REPRO_BACKEND env var, else numpy when "
                              "available; part of the cache key)")
     parser.add_argument("--compare-backends", action="store_true",
-                        help="run every point under each available backend "
-                             "(serial, uncached; unavailable backends are "
-                             "skipped with a note), record per-backend "
+                        help="run every point under each backend "
+                             "(serial, uncached), record per-backend "
                              "wall-clock in the report's backend_compare "
                              "section, and exit nonzero if simulated "
                              "outputs differ")
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                         const=str(DEFAULT_HISTORY), default=None,
                         help="append this run's summary (fingerprint, "
                              "backend, rows, total_wall_speedup, "
-                             f"ff_skipped_events) to PATH (default "
+                             f"lane_requests) to PATH (default "
                              f"{DEFAULT_HISTORY}); implies --no-cache so "
                              "wall-clock is real")
     parser.add_argument("--history-gate", action="store_true",
@@ -145,9 +144,6 @@ def main(argv: list[str] | None = None) -> int:
             speedup = entry["wall_speedup"]
             tag = f"  {speedup:.2f}x" if speedup else ""
             print(f"  {name:<44} {walls}{tag}")
-        for skip in compare.get("skipped_backends", []):
-            print(f"  note: backend {skip['backend']!r} skipped "
-                  f"({skip['reason']})")
         verdict = ("bit-identical" if compare["identical"] else
                    f"MISMATCHED: {', '.join(compare['mismatched_points'])}")
         total = compare["total"]
@@ -183,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
 
     for point in report["points"]:
         tag = "cache" if point["cached"] else f"{point['wall_s']:6.2f}s"
-        skipped = point["ff_skipped_events"]
-        ff = "" if skipped is None else f" ff_skipped={skipped}"
+        lanes = point["lane_requests"]
+        ff = "" if lanes is None else f" lane_requests={lanes}"
         print(f"  {point['name']:<44} [{tag}]{ff}")
     mode = "exact" if report["exact"] else "fast-forward"
     if report.get("perturb_seed") is not None:

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Any
 
+from ..compute import BACKEND_NAMES
 from ..errors import ConfigError
 from ..obs.tracer import TRACE as _TRACE
 from ..sim import fastforward as _ffm
@@ -35,16 +36,21 @@ DEFAULT_HISTORY = pathlib.Path("BENCH_history.jsonl")
 HISTORY_REGRESSION_TOLERANCE = 0.10
 
 #: Per-point fields measured on the host rather than simulated.  They vary
-#: run to run (timers, cache state, how much work fast-forward elided) and
-#: MUST stay out of every determinism comparison — sim_identical deltas, the
-#: CI ``--diff`` gate — and out of the content-addressed store payloads.
+#: run to run (timers, cache state, how many requests the fused lanes
+#: served) and MUST stay out of every determinism comparison —
+#: sim_identical deltas, the CI ``--diff`` gate — and out of the
+#: content-addressed store payloads.
 #: ``perturb_seed`` belongs here by the confluence contract: the simulated
 #: payload is bit-identical under every tie-break permutation, so a
 #: perturbed report must diff clean against an unperturbed one.  ``backend``
 #: belongs here by the backend bit-identity contract (DESIGN.md §10): a
 #: python-backend report must diff clean against a numpy-backend one.
-HOST_ONLY_POINT_FIELDS = ("wall_s", "cached", "ff_skipped_events", "exact",
+HOST_ONLY_POINT_FIELDS = ("wall_s", "cached", "lane_requests", "exact",
                           "perturb_seed", "backend")
+
+#: Host-only fields that only reports written by older code carry (the
+#: epoch-skip count); stripped too, so such reports stay diffable.
+RETIRED_HOST_FIELDS = ("ff_skipped_events",)
 
 
 def simulated_view(point: dict[str, Any]) -> dict[str, Any]:
@@ -54,7 +60,8 @@ def simulated_view(point: dict[str, Any]) -> dict[str, Any]:
     whenever any source file does, which says nothing about the simulation.
     """
     return {k: v for k, v in point.items()
-            if k not in HOST_ONLY_POINT_FIELDS and k != "key"}
+            if k not in HOST_ONLY_POINT_FIELDS
+            and k not in RETIRED_HOST_FIELDS and k != "key"}
 
 
 def run_point(config: SweepConfig, fingerprint: str, cache_dir: str,
@@ -67,8 +74,9 @@ def run_point(config: SweepConfig, fingerprint: str, cache_dir: str,
     the escape hatch CI uses to prove the fast path changes nothing.  The
     cache key is deliberately shared between modes: results are bit-identical
     by contract, so an exact run may be served by a fast-forwarded entry and
-    vice versa.  ``ff_skipped_events`` is measured per execution and is
-    ``None`` on a cache hit (nothing was simulated).
+    vice versa.  ``lane_requests`` (requests the fused lanes served) is
+    measured per execution and is ``None`` on a cache hit (nothing was
+    simulated).
 
     ``perturb_seed`` shuffles same-timestamp event tie-breaks for the run
     (see :mod:`repro.sim.perturb`): the schedule-confluence contract says
@@ -90,7 +98,7 @@ def run_point(config: SweepConfig, fingerprint: str, cache_dir: str,
         use_cache = False
     store = ResultStore(cache_dir) if use_cache else None
     cached = store.get(key) if store is not None else None
-    skipped: int | None = None
+    lane_requests: int | None = None
     if cached is not None:
         result = cached
         hit = True
@@ -111,7 +119,7 @@ def run_point(config: SweepConfig, fingerprint: str, cache_dir: str,
         finally:
             if root_opened:
                 tracer.end(None)
-        skipped = _ffm.STATS.skipped_events
+        lane_requests = _ffm.STATS.lane_requests
         hit = False
         if store is not None:
             store.put(key, result)
@@ -126,7 +134,7 @@ def run_point(config: SweepConfig, fingerprint: str, cache_dir: str,
         "exact": exact,
         "perturb_seed": perturb_seed,
         "backend": backend,
-        "ff_skipped_events": skipped,
+        "lane_requests": lane_requests,
     }
 
 
@@ -163,8 +171,8 @@ def run_sweep(configs: list[SweepConfig], workers: int = 1,
                        for c in configs]
             points = [f.result() for f in futures]
     total_wall_s = time.perf_counter() - started
-    skipped = [p["ff_skipped_events"] for p in points
-               if p.get("ff_skipped_events") is not None]
+    lanes = [p["lane_requests"] for p in points
+             if p.get("lane_requests") is not None]
     return {
         "version": 1,
         "fingerprint": fingerprint,
@@ -177,7 +185,7 @@ def run_sweep(configs: list[SweepConfig], workers: int = 1,
         "exact": exact,
         "perturb_seed": perturb_seed,
         "backend": backend,
-        "ff_skipped_events": sum(skipped) if skipped else None,
+        "lane_requests": sum(lanes) if lanes else None,
         "total_wall_s": total_wall_s,
         "points": points,
     }
@@ -203,7 +211,7 @@ def diff_reports(report_a: dict[str, Any],
 
 
 def compare_backends(configs: list[SweepConfig],
-                     backends: tuple[str, ...] = ("python", "numpy", "numba"),
+                     backends: tuple[str, ...] = BACKEND_NAMES,
                      cache_dir: str | pathlib.Path = DEFAULT_CACHE_DIR,
                      exact: bool = False) -> dict[str, Any]:
     """Run ``configs`` under every backend and fold the timings together.
@@ -214,24 +222,11 @@ def compare_backends(configs: list[SweepConfig],
     total wall-clock per backend, the last-vs-first speedup, and whether
     the simulated payloads were bit-identical across all backends
     (``identical`` — the DESIGN.md §10 contract, measured end-to-end).
-
-    Backends that cannot be constructed in this process (e.g. ``numba``
-    where numba is not installed) are skipped, not failed: they are listed
-    under ``skipped_backends`` with the reason, and the comparison runs
-    over whatever remains.  Asking for zero available backends is the only
-    error case.
+    An unknown backend name raises :class:`ConfigError`.
     """
-    from ..compute import available_backends
-
-    usable = available_backends()
-    names = [name for name in backends if name in usable]
-    skipped = [{"backend": name, "reason": "unavailable in this environment"}
-               for name in backends if name not in usable]
+    names = list(backends)
     if not names:
-        raise ConfigError(
-            f"none of the requested backends {tuple(backends)} are "
-            f"available (have: {usable})"
-        )
+        raise ConfigError("compare_backends needs at least one backend")
     reports = {name: run_sweep(configs, serial=True, cache_dir=cache_dir,
                                use_cache=False, exact=exact, backend=name)
                for name in names}
@@ -257,7 +252,6 @@ def compare_backends(configs: list[SweepConfig],
     primary = dict(reports[names[-1]])
     primary["backend_compare"] = {
         "backends": names,
-        "skipped_backends": skipped,
         "identical": not mismatched,
         "mismatched_points": mismatched,
         "points": points,
@@ -378,7 +372,7 @@ def record_history(report: dict[str, Any],
     """Append this run's summary line to the committed perf trajectory.
 
     One JSON object per line: fingerprint, backend, the largest row count
-    in the sweep, total wall seconds, fast-forward events skipped, and the
+    in the sweep, total wall seconds, requests the fused lanes served, and the
     speedup vs the previous entry for the *same point set*
     (``total_wall_speedup`` > 1 means this run was faster; ``null`` when
     there is no comparable predecessor).  Wall-clock only ever comes from
@@ -417,7 +411,7 @@ def record_history(report: dict[str, Any],
         "exact": report.get("exact", False),
         "total_wall_s": total_wall_s,
         "total_wall_speedup": speedup,
-        "ff_skipped_events": report.get("ff_skipped_events"),
+        "lane_requests": report.get("lane_requests"),
     }
     entry.update(timeline_columns(report))
     if note:

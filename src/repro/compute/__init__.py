@@ -2,11 +2,10 @@
 
 The simulator's batch kernels — predicate masks, bitmask pack/unpack/
 popcount, the fused interior-burst hit algebra, the batched request
-pipeline (DESIGN.md §12), fast-forward snapshot extrapolation — are
-reached through the active :class:`ComputeBackend`.  Three
-implementations ship: ``python`` (per-element reference loops), ``numpy``
-(vectorised, bit-identical by contract), and ``numba`` (jitted sequential
-recurrences; optional, available only where numba imports).
+pipeline (DESIGN.md §12) — are reached through the active
+:class:`ComputeBackend`.  Two implementations ship: ``python``
+(per-element reference loops) and ``numpy`` (vectorised, bit-identical by
+contract).
 
 Selection, in priority order:
 
@@ -36,7 +35,7 @@ __all__ = [
 
 ENV_VAR = "REPRO_BACKEND"
 
-BACKEND_NAMES = ("python", "numpy", "numba")
+BACKEND_NAMES = ("python", "numpy")
 
 _ACTIVE: ComputeBackend | None = None
 
@@ -52,12 +51,6 @@ def _build(name: str) -> ComputeBackend:
         except ImportError as exc:  # pragma: no cover - numpy is baked in
             raise ConfigError(f"backend 'numpy' unavailable: {exc}") from exc
         return NumpyBackend()
-    if name == "numba":
-        try:
-            from .numba_backend import NumbaBackend
-        except ImportError as exc:
-            raise ConfigError(f"backend 'numba' unavailable: {exc}") from exc
-        return NumbaBackend()
     raise ConfigError(
         f"unknown compute backend {name!r}; expected one of {BACKEND_NAMES}"
     )
@@ -72,12 +65,6 @@ def available_backends() -> tuple[str, ...]:
         pass
     else:
         names.append("numpy")
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        names.append("numba")
     return tuple(names)
 
 

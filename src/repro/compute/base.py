@@ -2,8 +2,8 @@
 
 Every hot-path batch kernel in the simulator — predicate evaluation over
 column segments, bitmask pack/unpack/popcount, the fused interior-burst
-hit algebra, and snapshot-delta extrapolation in fast-forward — is reached
-through one of the methods below.  Two implementations exist:
+hit algebra, and the batched request pipeline — is reached through one of
+the methods below.  Two implementations exist:
 
 * ``python`` (:mod:`repro.compute.python_backend`) — per-element pure
   Python loops; the executable specification every other backend is
@@ -20,7 +20,7 @@ batched semantics are exactly the sequential semantics: integer compare /
 count / gather always qualify; float arithmetic qualifies only when every
 intermediate is an exactly-representable integer below
 :data:`MAX_EXACT_FLOAT` (otherwise the kernel must fall back to the
-sequential order, as ``fused_hit_run`` and ``apply_delta`` do).
+sequential order, as ``fused_hit_run`` does).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 #: Largest magnitude at which consecutive float additions of integral
 #: increments are guaranteed exact (and hence equal to extrapolation).
-#: Shared with :mod:`repro.sim.fastforward`.
 MAX_EXACT_FLOAT = float(2**53)
 
 
@@ -188,17 +187,5 @@ class ComputeBackend:
         Mutates ``buckets`` (the ``bit_length``-keyed dict) in place and
         returns the updated ``(count, total, total_sq, vmin, vmax)``.
         Totals are exact Python ints (``total_sq`` can exceed int64).
-        """
-        raise NotImplementedError
-
-    # -- fast-forward snapshot algebra ---------------------------------------------
-
-    def apply_delta(self, base: tuple, delta: tuple,
-                    periods: int) -> tuple | None:
-        """Extrapolate ``base`` forward by ``periods`` periods of ``delta``.
-
-        Semantics of :func:`repro.sim.fastforward.apply_delta`: int slots
-        advance additively, ``None`` delta slots are carried through, float
-        slots advance only while provably exact (else return None).
         """
         raise NotImplementedError

@@ -11,9 +11,6 @@ runs the sequential reference semantics instead of approximating:
   invariant only for integral ``wp_full`` and magnitudes below 2**53), so
   once one uniform shift is observed every later iteration provably
   applies the same shift and the remainder is one O(1) jump.
-* :meth:`NumpyBackend.apply_delta` vectorises the all-int common case with
-  an overflow guard computed in Python ints, and defers anything else to
-  the shared reference.
 """
 
 from __future__ import annotations
@@ -21,15 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .base import MAX_EXACT_FLOAT, ComputeBackend
-from .python_backend import (apply_delta_reference, batch_issue_reference,
-                             mark_busy_reference)
+from .python_backend import batch_issue_reference, mark_busy_reference
 
 #: Headroom subtracted from 2**53 before trusting ``round(ds + wp_full)``
 #: to be exact along an extrapolated stretch (covers the per-iteration
 #: constants added on top of the guarded state components).
 _FLOAT_EXACT_LIMIT = int(MAX_EXACT_FLOAT) - (1 << 20)
 
-#: int64 headroom for the vectorised apply_delta fast path.
+#: int64 headroom for the vectorised sum-of-squares folds.
 _INT64_SAFE = 1 << 62
 
 #: Shared zero-length result for batch_issue early exits.
@@ -390,23 +386,3 @@ class NumpyBackend(ComputeBackend):
         if vmax is None or hi > vmax:
             vmax = hi
         return count, total, total_sq, vmin, vmax
-
-    def apply_delta(self, base: tuple, delta: tuple,
-                    periods: int) -> tuple | None:
-        if len(base) != len(delta):
-            return apply_delta_reference(base, delta, periods)
-        for value in base:
-            if type(value) is not int:
-                return apply_delta_reference(base, delta, periods)
-        bound = 0
-        for value, step in zip(base, delta):
-            if type(step) is not int:
-                return apply_delta_reference(base, delta, periods)
-            magnitude = abs(value) + abs(step) * periods
-            if magnitude > bound:
-                bound = magnitude
-        if bound >= _INT64_SAFE:
-            return apply_delta_reference(base, delta, periods)
-        out = (np.array(base, dtype=np.int64)
-               + np.array(delta, dtype=np.int64) * np.int64(periods))
-        return tuple(out.tolist())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import MAX_EXACT_FLOAT, ComputeBackend
+from .base import ComputeBackend
 
 
 def mark_busy_reference(s: list, start: int, end: int) -> None:
@@ -124,32 +124,6 @@ def batch_issue_reference(ft, floor0: int, now0: int, cps, outs,
         now_out.append(now)
         done += 1
     return done, issue_out, de_out, now_out, stall, posts, backlog, cas
-
-
-def apply_delta_reference(base: tuple, delta: tuple,
-                          periods: int) -> tuple | None:
-    """Sequential-semantics snapshot extrapolation (the shared reference).
-
-    The numpy backend falls back to this for snapshots its int64 fast path
-    cannot represent, so the exact-fallback logic lives once, here.
-    """
-    out = []
-    append = out.append
-    for value, step in zip(base, delta):
-        if step is None:
-            append(value)
-        elif type(value) is int:
-            append(value + step * periods)
-        else:  # float slot: only integral values within 2**53 are exact
-            if step == 0.0:
-                append(value)
-                continue
-            new = value + step * periods
-            if not (value.is_integer() and step.is_integer()
-                    and abs(new) <= MAX_EXACT_FLOAT):
-                return None
-            append(new)
-    return tuple(out)
 
 
 class PythonBackend(ComputeBackend):
@@ -304,7 +278,3 @@ class PythonBackend(ComputeBackend):
             b = 0 if lat < 1 else lat.bit_length()
             buckets[b] = buckets.get(b, 0) + 1
         return count, total, total_sq, vmin, vmax
-
-    def apply_delta(self, base: tuple, delta: tuple,
-                    periods: int) -> tuple | None:
-        return apply_delta_reference(base, delta, periods)

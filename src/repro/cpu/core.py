@@ -35,8 +35,7 @@ from ..dram import Agent, MemoryController, MemRequest
 from ..errors import ConfigError
 from ..obs.tracer import TRACE as _TRACE
 from ..sim.clock import ClockDomain
-from ..sim.fastforward import (CONFIRM_PERIODS, FF as _FF, STATS as _FF_STATS,
-                               EpochSkipper)
+from ..sim.fastforward import CONFIRM_PERIODS, FF as _FF, STATS as _FF_STATS
 
 # Minimum run length before the scan loop hands a burst to the backend's
 # ``batch_issue`` kernel.  Shorter runs (posted-write budget or row-boundary
@@ -190,60 +189,6 @@ class Core:
         lines_written = 0
         k = 0
 
-        # -- epoch skipping (repro.sim.fastforward) ------------------------------
-        #
-        # One period = the run of lines covering one DRAM row.  At every
-        # row-aligned line index the skipper snapshots loop state plus the
-        # full controller state; once the per-period delta repeats, whole
-        # periods are jumped in O(1).  Phases whose per-line compute or
-        # write volume varies (data-dependent scan costs) never confirm a
-        # delta and simply keep executing line by line.
-        skipper = None
-        lines_per_row = 0
-        first_boundary = 0
-        geometry = controller.geometry
-        row_bytes = geometry.row_bytes
-        if (_FF.on and controller.steady_lane_ok
-                and row_bytes % line_bytes == 0
-                and base_addr % row_bytes % line_bytes == 0):
-            lines_per_row = row_bytes // line_bytes
-            first_boundary = ((row_bytes - base_addr % row_bytes)
-                              % row_bytes) // line_bytes
-            if nlines - first_boundary >= 3 * lines_per_row:
-                def snap_locals() -> tuple:
-                    return (k, self.now_ps, stall_ps, issue_floor,
-                            write_backlog, lines_written,
-                            self._write_cursor, ft_idx) + tuple(finish_times)
-
-                def restore_locals(state: tuple) -> None:
-                    nonlocal k, stall_ps, issue_floor, ft_idx
-                    nonlocal write_backlog, lines_written
-                    k = state[0]
-                    self.now_ps = state[1]
-                    stall_ps = state[2]
-                    issue_floor = state[3]
-                    write_backlog = state[4]
-                    lines_written = state[5]
-                    self._write_cursor = state[6]
-                    ft_idx = state[7]
-                    finish_times[:] = state[8:]
-
-                def snap_pending() -> tuple:
-                    return tuple(self._pending_writes)
-
-                def restore_pending(state: tuple) -> None:
-                    self._pending_writes[:] = state
-
-                parts = [(snap_locals, restore_locals),
-                         (snap_pending, restore_pending)]
-                parts.extend(controller.ff_parts())
-                skipper = EpochSkipper(
-                    parts, trace=controller.rank_at(base_addr).trace)
-            else:
-                skipper = None
-        bank_bytes = geometry.bank_bytes
-        last_boundary = -1
-
         # Fused steady-state executor (see _stream_run_lane): eligible when
         # both stream lanes can serve whole runs of lines without leaving
         # Python locals.  Tried opportunistically; a failed attempt costs a
@@ -271,40 +216,6 @@ class Core:
         box = [0, 0, 0, 0.0, 0, 0]
 
         while k < nlines:
-            if (skipper is not None and k > last_boundary
-                    and k >= first_boundary
-                    and (k - first_boundary) % lines_per_row == 0):
-                last_boundary = k
-                delta = skipper.observe()
-                if delta is not None:
-                    periods = self._stream_skip_horizon(
-                        delta, k, nlines, lines_per_row, base_addr,
-                        line_bytes, bank_bytes, row_bytes, issue_floor)
-                    skip_from_ps = self.now_ps
-                    if periods > 0 and skipper.skip(delta, periods, delta[1]):
-                        _FF_STATS.skipped_events += (
-                            (lines_per_row + delta[5]) * periods)
-                        if _TRACE.on:
-                            tracer = _TRACE.tracer
-                            tracer.complete(
-                                "cpu.ff_skip", tracer.track_of(self, "cpu"),
-                                skip_from_ps, self.now_ps - skip_from_ps,
-                                ff=True, periods=periods,
-                                lines=lines_per_row * periods)
-                            # Synthesized timeline sample for the skipped
-                            # span: delta[5] is lines written per period.
-                            bpl = line_bytes // controller.mapping.burst_bytes
-                            reads = lines_per_row * periods
-                            writes = delta[5] * periods
-                            tracer.timeline.synth(
-                                tracer.track_of(self, "cpu"), "cpu",
-                                skip_from_ps, self.now_ps - skip_from_ps,
-                                (reads + writes) * bpl * controller._t.burst_ps,
-                                reads=reads, writes=writes)
-                        # restore_locals rebound k to the landing boundary;
-                        # mark it observed (its snapshot is already primed).
-                        last_boundary = k
-                        continue
             if fuse_gate and k >= fuse_retry:
                 box[0] = self.now_ps
                 box[1] = issue_floor
@@ -375,7 +286,7 @@ class Core:
             lines_written += 1
         self._drain_writes(issue_floor)
         # Order-independent accumulation: identical whether lines executed
-        # one by one or whole periods were skipped.
+        # one by one or in fused lane runs.
         stats.compute_cycles = math.fsum(per_line_f)
         stats.stall_ps = stall_ps
         stats.lines_written = lines_written
@@ -983,63 +894,6 @@ class Core:
             box[3] = backlog
             box[4] = lines_written
         return j
-
-    def _stream_skip_horizon(self, delta: tuple, k: int, nlines: int,
-                             lines_per_row: int, base_addr: int,
-                             line_bytes: int, bank_bytes: int, row_bytes: int,
-                             issue_floor: int) -> int:
-        """Admissible period count for a confirmed stream-phase delta.
-
-        Slots 0..7 of the loop snapshot are (k, now_ps, stall_ps,
-        issue_floor, write_backlog, lines_written, write_cursor, ft_idx);
-        slots 8+ are the prefetch finish times.  Bounds keep every skipped
-        access inside the current input/output banks, inside the current
-        output row when writes are not row-periodic, below the refresh
-        deadline of every rank the period touches, and short of the phase
-        end.
-        """
-        d_k = delta[0]
-        d_now = delta[1]
-        d_floor = delta[3]
-        d_wc = delta[6]
-        if (d_k != lines_per_row or d_now <= 0 or d_floor != d_now
-                or delta[7] != 0):
-            return 0
-        # Every in-flight fetch slot must ride the same time shift; a slot
-        # that advances differently means the pipeline has not settled.
-        for d_slot in delta[8:]:
-            if d_slot != d_now:
-                return 0
-        addr = base_addr + k * line_bytes
-        periods = (nlines - k) // lines_per_row - 1
-        n = (bank_bytes - addr % bank_bytes) // row_bytes - 1
-        if n < periods:
-            periods = n
-        controller = self.controller
-        touched = [controller.rank_at(addr)]
-        if d_wc:
-            wc = self._write_cursor
-            n = (bank_bytes - wc % bank_bytes) // d_wc - 1
-            if n < periods:
-                periods = n
-            if d_wc % row_bytes:
-                # Writes are not row-periodic: stay inside the current
-                # output row so no skipped period hides a row crossing.
-                row_end = ((wc - 1) // row_bytes + 1) * row_bytes
-                n = (row_end - wc) // d_wc
-                if n < periods:
-                    periods = n
-            touched.append(controller.rank_at(wc))
-        for rank in touched:
-            refresh = rank.refresh
-            if refresh.enabled:
-                # All arrivals in skipped period p stay <= issue_floor +
-                # p * d_floor; keep them strictly below the (settled, since
-                # the period accessed this rank) refresh deadline.
-                n = (refresh.next_refresh_ps - 1 - issue_floor) // d_floor
-                if n < periods:
-                    periods = n
-        return max(periods, 0)
 
     # -- random-access phase -----------------------------------------------------------
 

@@ -149,22 +149,6 @@ class Bank:
         return BurstTiming(cas, data_start, data_end, row_hit=not activated,
                            activated_row=activated, pre_ps=pre_at, act_ps=act_at)
 
-    def ff_snapshot(self) -> tuple:
-        """Flat timing/stat state for fast-forward extrapolation.
-
-        Every timestamp slot is translation-invariant max/plus state, the
-        stat slots are additive, and ``open_row`` advances by the per-period
-        row stride of a streaming phase (see :mod:`repro.sim.fastforward`).
-        """
-        return (self.open_row, self.next_act_ps, self.next_col_ps,
-                self.next_pre_ps, self._data_free_ps, self._last_act_ps,
-                self.activations, self.row_hits, self.row_misses)
-
-    def ff_restore(self, state: tuple) -> None:
-        (self.open_row, self.next_act_ps, self.next_col_ps, self.next_pre_ps,
-         self._data_free_ps, self._last_act_ps, self.activations,
-         self.row_hits, self.row_misses) = state
-
     def block_until(self, time_ps: int) -> None:
         """Forbid any command before ``time_ps`` (refresh / ownership holds)."""
         self.next_act_ps = max(self.next_act_ps, time_ps)

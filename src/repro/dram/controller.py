@@ -389,30 +389,6 @@ class MemoryController:
             tracer.timeline.queue(self, is_write, arrival_ps, finish_ps)
         return CompletedRequest(req, issue_ps, first_data_ps, finish_ps, hits, misses)
 
-    def ff_parts(self) -> list:
-        """(snapshot, restore) pairs covering all controller-side state.
-
-        Consumed by :class:`repro.sim.fastforward.EpochSkipper`: own
-        bookkeeping, channel buses, every rank (banks, refresh, ACT ring),
-        and the IMC counters.  Lane templates are deliberately excluded —
-        they are self-validating hints, not simulation state.
-        """
-        def snap() -> tuple:
-            return (self._last_arrival_ps,) + tuple(
-                ch.bus_free_ps for ch in self.channels)
-
-        def restore(state: tuple) -> None:
-            self._last_arrival_ps = state[0]
-            for ch, bus_free_ps in zip(self.channels, state[1:]):
-                ch.bus_free_ps = bus_free_ps
-
-        parts: list = [(snap, restore)]
-        for channel in self.channels:
-            for rank in channel.all_ranks():
-                parts.extend(rank.ff_parts())
-        parts.extend(self.counters.ff_parts())
-        return parts
-
     # -- convenience --------------------------------------------------------------
 
     def stream(self, addrs: Iterable[int], nbytes: int, start_ps: int,

@@ -186,30 +186,6 @@ class IMCCounters:
         self.write_queue.finish()
         self.combined.finish()
 
-    def ff_parts(self) -> list:
-        """(snapshot, restore) pairs for fast-forward extrapolation.
-
-        Scalar counter values form one additive part; each busy tracker and
-        the latency histogram contribute their own parts (their snapshots
-        mix additive slots with equality-pinned ones — see
-        :mod:`repro.sim.fastforward`).
-        """
-        def snap() -> tuple:
-            return (self.reads.value, self.writes.value,
-                    self.row_hits.value, self.row_misses.value)
-
-        def restore(state: tuple) -> None:
-            (self.reads.value, self.writes.value,
-             self.row_hits.value, self.row_misses.value) = state
-
-        return [
-            (snap, restore),
-            (self.read_queue.ff_snapshot, self.read_queue.ff_restore),
-            (self.write_queue.ff_snapshot, self.write_queue.ff_restore),
-            (self.combined.ff_snapshot, self.combined.ff_restore),
-            (self.read_latency.ff_snapshot, self.read_latency.ff_restore),
-        ]
-
     # -- the paper's derived quantities (§3.3) -----------------------------------
 
     def rc_busy_cycles(self) -> float:

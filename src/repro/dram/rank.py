@@ -178,29 +178,6 @@ class Rank:
                                 timing.data_end_ps)
         return timing
 
-    def ff_parts(self) -> list:
-        """(snapshot, restore) pairs covering this rank's mutable timing state.
-
-        Consumed by :class:`repro.sim.fastforward.EpochSkipper`.  The ACT
-        ring (tRRD/tFAW history) snapshots slot-wise: in a steady one-ACT-
-        per-period cadence every remembered issue time advances by exactly
-        the period, so extrapolation reproduces the ring bit-for-bit.  The
-        MPR bit and ring length are equality-pinned — a change restarts
-        period detection.
-        """
-        def snap() -> tuple:
-            return (self.io_free_ps, self.mode_registers.mpr_enabled,
-                    len(self._act_times)) + tuple(self._act_times)
-
-        def restore(state: tuple) -> None:
-            self.io_free_ps = state[0]
-            self._act_times = deque(state[3:], maxlen=self._act_times.maxlen)
-
-        parts = [(snap, restore),
-                 (self.refresh.ff_snapshot, self.refresh.ff_restore)]
-        parts.extend((bank.ff_snapshot, bank.ff_restore) for bank in self.banks)
-        return parts
-
     def precharge_all(self, at_ps: int) -> int:
         """Close every open row; returns when the rank is fully precharged."""
         done = at_ps

@@ -49,18 +49,6 @@ class RefreshState:
                 earliest = end
         return earliest
 
-    def ff_snapshot(self) -> tuple:
-        """Flat state for fast-forward extrapolation.
-
-        ``next_refresh_ps`` is an *absolute* deadline: a fast-forward window
-        must end before it (all skipped arrivals strictly earlier), so
-        within any skippable window every slot's per-period delta is zero.
-        """
-        return (self.next_refresh_ps, self.refreshes_issued, self.busy_ps)
-
-    def ff_restore(self, state: tuple) -> None:
-        self.next_refresh_ps, self.refreshes_issued, self.busy_ps = state
-
     def overhead_fraction(self) -> float:
         """Steady-state fraction of time consumed by refresh (tRFC/tREFI)."""
         return self.timings.trfc_ps / self.timings.trefi_ps

@@ -33,7 +33,7 @@ from ..errors import JafarBusyError, JafarProgrammingError
 from ..mem import PhysicalMemory
 from ..obs.tracer import TRACE as _TRACE
 from ..sim.clock import ClockDomain
-from ..sim.fastforward import FF as _FF, STATS as _FF_STATS, EpochSkipper
+from ..sim.fastforward import FF as _FF
 from .alu import ComparatorPair
 from .bitmask import pack_mask
 from .registers import CTRL_START, Reg, RegisterFile, Status
@@ -177,48 +177,11 @@ class JafarDevice:
             trace_track = tracer.track_of(self, "jafar")
             tracer.begin("jafar.run", trace_track, start_ps, rows=num_rows)
 
-        # Epoch skipping (repro.sim.fastforward): one period = one DRAM row
-        # of the read stream, with boundaries at the row crossings where the
-        # writeback FIFO drains.  Armed only when the per-word ALU advance is
-        # integral (round() is then translation-invariant) and the address
-        # mapping keeps a row's bytes physically contiguous.
-        geometry = self.mapping.geometry
-        skipper = None
-        if (_FF.on and word_period.is_integer()
-                and geometry.bank_rotate_bytes == 0
-                and (geometry.channels == 1 or geometry.interleave_bytes == 0)):
-
-            def _snap_locals() -> tuple:
-                # Slot layout consumed by _skip_horizon: 0 cursor, 1
-                # alu_ready, 2 last_proc_done, 3 addr, 4 out_cursor, 5
-                # bursts_read, 6 bursts_skipped, 7 writeback_bursts, 8
-                # results_done, 9 writebacks_owed, 10 row boundaries, 11
-                # refreshes issued (restored by the rank parts; guarded to
-                # zero delta here so no refresh fires inside a template).
-                return (cursor, alu_ready, last_proc_done, addr, out_cursor,
-                        bursts_read, bursts_skipped, writeback_bursts,
-                        results_done, writebacks_owed,
-                        stats.row_boundaries_crossed,
-                        sum(r.refresh.refreshes_issued for r in ranks))
-
-            def _restore_locals(state: tuple) -> None:
-                nonlocal cursor, alu_ready, last_proc_done, addr, \
-                    out_cursor, bursts_read, bursts_skipped, \
-                    writeback_bursts, results_done, writebacks_owed
-                (cursor, alu_ready, last_proc_done, addr, out_cursor,
-                 bursts_read, bursts_skipped, writeback_bursts,
-                 results_done, writebacks_owed,
-                 stats.row_boundaries_crossed, _) = state
-
-            parts = [(_snap_locals, _restore_locals)]
-            for r in ranks:
-                parts.extend(r.ff_parts())
-            skipper = EpochSkipper(parts, trace=ranks[0].trace)
-
         # Fused row executor (see _fused_row_run): after the first burst of
         # a row, the remaining interior bursts are consecutive row hits with
         # no drains in between — serviced in a tight local loop when the
         # mapping keeps the row's bytes contiguous.
+        geometry = self.mapping.geometry
         fused_gate = (_FF.on and geometry.bank_rotate_bytes == 0
                       and (geometry.channels == 1
                            or geometry.interleave_bytes == 0))
@@ -256,47 +219,6 @@ class JafarDevice:
                 if tracer is not None and drained:
                     tracer.complete("jafar.drain", trace_track, drain_start,
                                     cursor - drain_start, bursts=drained)
-                if skipper is not None:
-                    if getattr(self, "_staging_used", False):
-                        # The template period staged a foreign chunk; the
-                        # modular scratch-column cursor is not translation-
-                        # invariant, so restart detection from scratch.
-                        self._staging_used = False
-                        skipper.detector.reset()
-                    delta = skipper.observe()
-                    if delta is not None:
-                        periods = self._skip_horizon(delta, cursor, addr,
-                                                     out_cursor, last_burst,
-                                                     ranks)
-                        addr_before = addr
-                        cursor_before = cursor
-                        if periods > 0 and skipper.skip(delta, periods,
-                                                        delta[0]):
-                            _FF_STATS.skipped_events += delta[5] * periods
-                            if tracer is not None:
-                                tracer.complete(
-                                    "jafar.ff_skip", trace_track,
-                                    cursor_before, cursor - cursor_before,
-                                    ff=True, periods=periods,
-                                    events=delta[5] * periods)
-                                # delta[5]/delta[7]: bursts read / written
-                                # back per period (slot layout above).
-                                tracer.timeline.synth(
-                                    trace_track, "jafar", cursor_before,
-                                    cursor - cursor_before,
-                                    (delta[5] + delta[7]) * periods
-                                    * rank._t.burst_ps,
-                                    reads=delta[5] * periods,
-                                    writes=delta[7] * periods)
-                            lo_word = max(0, (addr_before - col_addr)
-                                          // WORD_BYTES)
-                            hi_word = min(num_rows,
-                                          (addr - col_addr) // WORD_BYTES)
-                            owned[lo_word:hi_word] = True
-                            loc = decode(addr)
-                            cur_rank, cur_bank, cur_row = \
-                                loc.rank, loc.bank, loc.row
-                            continue
             cur_rank, cur_bank, cur_row = loc.rank, loc.bank, loc.row
 
             timing = rank.access(loc.bank, loc.row, cursor, is_write=False,
@@ -408,50 +330,6 @@ class JafarDevice:
         return JafarRunResult(start_ps, end_ps, num_rows, matches,
                               bursts_read, writeback_bursts, bursts_skipped)
 
-    def _skip_horizon(self, delta: tuple, cursor: int, addr: int,
-                      out_cursor: int, last_burst: int,
-                      ranks) -> int:
-        """Admissible period count for one epoch skip.
-
-        Bounded so that no skipped access crosses an exogenous deadline:
-        the earliest enabled refresh (every arrival in skipped period *p*
-        is at most ``cursor + p * delta[0]``, so the last period must stay
-        strictly below tREFI), the end of the streamed span (the final
-        row's tail flush executes live), the next bank crossing of the
-        read stream, and the next DRAM-row crossing of the output
-        bitmask.  Also validates the structural shape of the confirmed
-        delta (slot layout documented at the snapshot site).
-        """
-        d_cursor = delta[0]
-        if (d_cursor <= 0 or delta[1] != d_cursor or delta[2] != d_cursor
-                or delta[6] != 0 or delta[9] != 0 or delta[11] != 0):
-            return 0
-        geometry = self.mapping.geometry
-        row_bytes = geometry.row_bytes
-        if delta[3] != row_bytes:
-            return 0
-        end = last_burst + self.timings.burst_bytes
-        periods = (end - addr) // row_bytes - 1
-        bank_room = geometry.bank_bytes - addr % geometry.bank_bytes
-        periods = min(periods, bank_room // row_bytes - 1)
-        decode = self.mapping.decode
-        touched = {decode(addr).rank}
-        d_out = delta[4]
-        if d_out:
-            out_row_end = ((out_cursor - 1) // row_bytes + 1) * row_bytes
-            periods = min(periods, (out_row_end - out_cursor) // d_out)
-            touched.add(decode(out_cursor).rank)
-        # Only ranks the period actually touches constrain the jump: an
-        # untouched rank's state delta is zero and its refresh settles
-        # lazily on its next access, whenever that is.
-        for index in touched:
-            refresh = ranks[index].refresh
-            if refresh.enabled:
-                n_ref = (refresh.next_refresh_ps - 1 - cursor) // d_cursor
-                if n_ref < periods:
-                    periods = n_ref
-        return max(periods, 0)
-
     def _fused_row_run(self, rank, bank, n: int, cursor: int,
                        alu_ready: int, wp_full: float
                        ) -> tuple[int, int, int]:
@@ -543,7 +421,6 @@ class JafarDevice:
         from ..dram.geometry import Location
 
         geometry = self.mapping.geometry
-        self._staging_used = True
         self._staging_col = (getattr(self, "_staging_col", -1) + 1) % (
             geometry.columns_per_row(self.timings.burst_bytes))
         return Location(self.channel_index, self.dimm.index, 0,

@@ -20,15 +20,15 @@ same guarded hook sites into fixed-width windows on the simulated-ps clock:
   bus busy spans (value -> count, so percentiles are exact), quantifying how
   pessimistic the paper's Fig. 4 ``MC_empty / accesses`` bound is.
 
-Fast-forward composition: epoch skips and fused lanes never emit per-burst
-events, so the hook sites that summarise them (``cpu.ff_skip``,
-``imc.fused_stream``, ``jafar.ff_skip``, ``jafar.fused_row``) contribute
-*synthesized* samples via :meth:`TimelineSampler.synth` — the known burst
-count times the burst length, spread proportionally over the skipped span's
-windows and flagged in a dedicated ``synth`` slot so the report never
-presents extrapolated occupancy as sampled occupancy.  Synthesized spans
-also break idle-gap tracking (counted in ``synth_breaks``): a gap straddling
-a skip is unknowable, not zero.
+Fast-forward composition: the fused lanes never emit per-burst events, so
+the hook sites that summarise them (``imc.fused_stream``,
+``jafar.fused_row``) contribute *synthesized* samples via
+:meth:`TimelineSampler.synth` — the known burst count times the burst
+length, spread proportionally over the lane run's windows and flagged in a
+dedicated ``synth`` slot so the report never presents summarised occupancy
+as sampled occupancy.  Synthesized spans also break idle-gap tracking
+(counted in ``synth_breaks``): a gap inside a lane run is unknowable, not
+zero.
 
 Invariants (shared with the tracer, proven by ``repro.obs.check`` and the
 goldens-under-tracing suite):
@@ -260,13 +260,13 @@ class TimelineSampler:
 
     def synth(self, track: str, origin: str, start_ps: int, dur_ps: int,
               busy_ps: int, reads: int = 0, writes: int = 0) -> None:
-        """A synthesized aggregate sample for one fast-forwarded span.
+        """A synthesized aggregate sample for one fused-lane run.
 
         ``busy_ps`` is the derived bus occupancy (burst count x burst
-        length) of the skipped work; it is spread over ``[start_ps,
+        length) of the lane-served work; it is spread over ``[start_ps,
         start_ps + dur_ps)`` proportionally to each window's overlap and
         mirrored into the ``synth`` slot, so per-origin totals stay honest
-        while the report can mark the windows as extrapolated.
+        while the report can mark the windows as summarised.
         """
         prefix = track.partition(".")[0] if "." in track else "run"
         tl = self._machine(prefix)
@@ -431,8 +431,8 @@ def render_timeline(summary: dict, width: int = 40) -> str:
         if synth["busy_ps"]:
             lines.append(
                 f"  fast-forward: {synth['busy_share_pct']:.1f}% of busy ps "
-                f"synthesized from skipped epochs; {synth['gap_breaks']} "
-                "idle-gap break(s)")
+                "synthesized from fused-lane summaries; "
+                f"{synth['gap_breaks']} idle-gap break(s)")
         for suffix, wins in sorted(m.get("ranks", {}).items()):
             busy = sum(b for _, b in wins)
             pct = 100.0 * busy / m["span_ps"]

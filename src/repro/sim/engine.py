@@ -174,29 +174,6 @@ class Simulator:
             self._running = False
         return fired
 
-    def fast_forward_to(self, time_ps: int) -> None:
-        """Atomically jump the clock past a drained window.
-
-        The fast-forward machinery (:mod:`repro.sim.fastforward`) may only
-        skip a window it has proven empty of discrete events, so unlike
-        :meth:`advance_to` this refuses to jump over a live scheduled event —
-        that would silently reorder the event past state it should have seen.
-        Cancelled events at the head of the queue are purged first.
-        """
-        if time_ps < self._now:
-            raise SimulationError(
-                f"cannot fast-forward to {time_ps} ps; time is {self._now} ps"
-            )
-        queue = self._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        if queue and queue[0].time_ps <= time_ps:
-            raise SimulationError(
-                f"cannot fast-forward to {time_ps} ps over a live event "
-                f"scheduled at {queue[0].time_ps} ps"
-            )
-        self._now = time_ps
-
     def advance_to(self, time_ps: int) -> None:
         """Move the clock forward without firing events.
 

@@ -100,32 +100,6 @@ class Histogram:
         bucket = 0 if value < 1 else value.bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + n
 
-    def ff_snapshot(self) -> tuple:
-        """Flat state for fast-forward extrapolation (see repro.sim.fastforward).
-
-        Moments are additive across periods; min/max and the bucket keys are
-        equality-pinned (their dynamics are not translation-invariant).
-        """
-        from .fastforward import Pinned
-
-        out = [self.count, self.total, self.total_sq,
-               Pinned(self.min), Pinned(self.max)]
-        for key in sorted(self.buckets):
-            out.append(Pinned(key))
-            out.append(self.buckets[key])
-        return tuple(out)
-
-    def ff_restore(self, state: tuple) -> None:
-        self.count = state[0]
-        self.total = state[1]
-        self.total_sq = state[2]
-        self.min = state[3].value
-        self.max = state[4].value
-        buckets: dict[int, int] = {}
-        for i in range(5, len(state), 2):
-            buckets[state[i].value] = state[i + 1]
-        self.buckets = buckets
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from the power-of-two buckets.
 
@@ -248,16 +222,6 @@ class BusyTracker:
         """Close any open interval.  Call once at the end of a run."""
         if self._cur_start is not None:
             self._close()
-
-    def ff_snapshot(self) -> tuple:
-        """Flat state for fast-forward extrapolation."""
-        return (self.busy_ps, self.intervals, self._cur_start, self._cur_end,
-                self._first_start, self._last_end) + self._gaps.ff_snapshot()
-
-    def ff_restore(self, state: tuple) -> None:
-        (self.busy_ps, self.intervals, self._cur_start, self._cur_end,
-         self._first_start, self._last_end) = state[:6]
-        self._gaps.ff_restore(state[6:])
 
     def idle_gaps_ps(self) -> Histogram:
         """Histogram of observed idle gaps (between coalesced busy spans)."""

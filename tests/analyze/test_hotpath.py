@@ -1,19 +1,24 @@
 """The ``hotpath`` suite: hot-set closure, mutation fixtures, baseline."""
 
+import ast
 import json
 import textwrap
 
 from repro.analyze import run_analysis
-from repro.analyze.core import Finding
+from repro.analyze.core import Finding, ModuleSource, discover
 from repro.analyze.hotpath import (
     BASELINE_SCHEMA,
     Interval,
     TOP,
+    HotPurityPass,
     apply_baseline,
+    compute_hot_records,
     hotpath_passes,
     main,
     write_baseline,
 )
+
+from .conftest import REPO_SRC
 
 
 def _scan(*paths):
@@ -99,6 +104,44 @@ class TestHotSet:
         """)
         report = _scan(tmp_path)
         assert [f.rule for f in report.findings] == ["backend-bypass"]
+
+    def test_fast_path_switch_readers_are_roots(self, tmp_path):
+        _write(tmp_path, "cpu/lane.py", """
+            def fused_scan(row_values, hi):
+                if not _FF.on:
+                    return None
+                total = 0
+                for v in row_values:
+                    total = total + v
+                return total
+
+            def offline_scan(row_values, hi):
+                total = 0
+                for v in row_values:
+                    total = total + v
+                return total
+        """)
+        report = _scan(tmp_path)
+        assert [f.rule for f in report.findings] == ["backend-bypass"]
+        assert "fused_scan" in report.findings[0].message
+
+    def test_repo_fast_paths_are_hot(self):
+        # The fused executors and the lane-log fold must stay policed:
+        # they are reached from the functions that read the FF switch.
+        purity = HotPurityPass()
+        modules = []
+        for path in discover([str(REPO_SRC)]):
+            if purity.applies_to(path):
+                with open(path, encoding="utf-8") as fh:
+                    source = fh.read()
+                modules.append(ModuleSource(path, ast.parse(source), source))
+        hot = {qualname for _, qualname in compute_hot_records(modules)}
+        assert {
+            "Core.stream_read_phase", "Core._stream_run_lane",
+            "IMCCounters.fold_stream_log", "_fold_busy",
+            "MemoryController._lane_try", "MemoryController.stream_read_ps",
+            "MemoryController.submit", "JafarDevice._fused_row_run",
+        } <= hot
 
 
 class TestSuppression:

@@ -104,18 +104,18 @@ class TestWarmRerunCacheHits:
 
 
 class TestFastForwardReporting:
-    def test_fresh_points_report_skipped_events(self, tmp_path):
+    def test_fresh_points_report_lane_requests(self, tmp_path):
         report = run_sweep(TINY, cache_dir=tmp_path, serial=True)
         for point in report["points"]:
-            assert point["ff_skipped_events"] is not None
-        assert report["ff_skipped_events"] == sum(
-            p["ff_skipped_events"] for p in report["points"])
+            assert point["lane_requests"] is not None
+        assert report["lane_requests"] == sum(
+            p["lane_requests"] for p in report["points"])
 
     def test_cached_points_report_none(self, tmp_path):
         run_sweep(TINY, cache_dir=tmp_path, serial=True)
         warm = run_sweep(TINY, cache_dir=tmp_path, serial=True)
-        assert all(p["ff_skipped_events"] is None for p in warm["points"])
-        assert warm["ff_skipped_events"] is None
+        assert all(p["lane_requests"] is None for p in warm["points"])
+        assert warm["lane_requests"] is None
 
     def test_exact_matches_fast_forward_simulated_fields(self, tmp_path):
         fast = run_sweep(TINY, cache_dir=tmp_path / "a", serial=True)
@@ -141,9 +141,17 @@ class TestSimulatedFieldDiff:
         report = run_sweep(TINY, cache_dir=tmp_path, serial=True)
         other = dict(report, points=[
             dict(p, wall_s=p["wall_s"] + 1.0, cached=not p["cached"],
-                 ff_skipped_events=None)
+                 lane_requests=None)
             for p in report["points"]])
         assert diff_reports(report, other) == []
+
+    def test_diff_ignores_retired_host_fields(self, tmp_path):
+        # Reports written while epoch skipping existed carry a per-point
+        # skip count; they must still diff clean against current ones.
+        report = run_sweep(TINY, cache_dir=tmp_path, serial=True)
+        older = dict(report, points=[
+            dict(p, ff_skipped_events=1234) for p in report["points"]])
+        assert diff_reports(report, older) == []
 
     def test_diff_catches_simulated_changes_and_missing_points(self, tmp_path):
         report = run_sweep(TINY, cache_dir=tmp_path, serial=True)

@@ -9,6 +9,7 @@ backend_scope) is covered at the bottom.
 import numpy as np
 import pytest
 
+from repro.analyze import simsan
 from repro.compute import (
     BACKEND_NAMES,
     available_backends,
@@ -20,7 +21,6 @@ from repro.compute import (
 from repro.compute.numpy_backend import NumpyBackend
 from repro.compute.python_backend import PythonBackend
 from repro.errors import ConfigError
-from repro.sim.fastforward import Pinned, snapshot_delta
 
 PY = PythonBackend()
 NP = NumpyBackend()
@@ -147,36 +147,13 @@ class TestFusedHitRun:
         assert PY.fused_hit_run(*args) == NP.fused_hit_run(*args)
 
 
-class TestApplyDeltaKernels:
-    CASES = [
-        ((100, 7), (10, 0), 5),
-        ((100, "rd"), (10, None), 3),
-        ((2.0,), (3.0,), 4),
-        ((0.5,), (1.0,), 2),
-        ((0.0,), (0.3,), 2),
-        ((float(2**52),), (float(2**52),), 4),
-        ((0.5,), (0.0,), 1000),
-        ((2**70, 5), (2**65, -3), 7),       # beyond int64: reference path
-        ((1, -(2**64)), (2**64, 1), 2),
-        ((5, Pinned("k")), (1, None), 9),
-    ]
-
-    @pytest.mark.parametrize("base,delta,periods", CASES)
-    def test_matches_reference(self, base, delta, periods):
-        assert PY.apply_delta(base, delta, periods) == NP.apply_delta(
-            base, delta, periods)
-
-    def test_random_int_snapshots(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(100):
-            size = int(rng.integers(1, 20))
-            prev = tuple(int(v) for v in rng.integers(0, 10**12, size))
-            cur = tuple(v + int(d) for v, d in
-                        zip(prev, rng.integers(0, 10**6, size)))
-            delta = snapshot_delta(prev, cur)
-            periods = int(rng.integers(1, 10**4))
-            assert (PY.apply_delta(cur, delta, periods)
-                    == NP.apply_delta(cur, delta, periods))
+# Under `pytest --simsan` the sanitizers force exact mode (the fused
+# kernels never run) and the scan-equivalence shadow aborts on a mask bug
+# before the harness can report it, so the seeded-bug tests stand down.
+sanitizers_off = pytest.mark.skipif(
+    simsan.active(),
+    reason="SimSan installed: exact mode, and its shadow checks pre-empt "
+           "the harness")
 
 
 class TestMutationSmoke:
@@ -197,6 +174,7 @@ class TestMutationSmoke:
         report = self._harness()
         assert report["ok"], report
 
+    @sanitizers_off
     def test_catches_range_mask_off_by_one(self, monkeypatch):
         def mutant(self, values, low, high):
             # Classic vectorisation off-by-one: the last lane is dropped
@@ -215,6 +193,7 @@ class TestMutationSmoke:
                     if not c["ok"]]
         assert diverged, report
 
+    @sanitizers_off
     def test_catches_fused_timing_mutation(self, monkeypatch):
         original = NumpyBackend.fused_hit_run
 

@@ -2,16 +2,14 @@
 
 ``batch_issue``, ``batch_row_timing``, ``batch_mark_busy`` and
 ``batch_latency_hist`` are exercised on seeded random inputs under every
-*available* backend and must agree with the python reference exactly.
-Parametrisation runs over all registered backend names — the ``numba`` leg
-skips cleanly wherever numba is not installed, and runs for real wherever
-it is, so one test file covers both environments.
+backend and must agree with the python reference exactly.  Parametrisation
+runs over every registered backend name except the reference itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.compute import BACKEND_NAMES, available_backends
+from repro.compute import BACKEND_NAMES, _build
 from repro.compute.python_backend import PythonBackend
 
 SEED = 20150601  # DaMoN'15
@@ -21,13 +19,8 @@ PY = PythonBackend()
 
 @pytest.fixture(params=[n for n in BACKEND_NAMES if n != "python"])
 def other(request):
-    """Each non-reference backend, skipping ones this environment lacks."""
-    name = request.param
-    if name not in available_backends():
-        pytest.skip(f"backend {name!r} unavailable in this environment")
-    from repro.compute import _build
-
-    return _build(name)
+    """Each non-reference backend."""
+    return _build(request.param)
 
 
 def _seq(x):

@@ -90,17 +90,16 @@ class TestIMCCountersMigration:
 class TestFFStatsMigration:
     def test_snapshot_schema(self):
         stats = FFStats()
-        stats.skips += 2
-        stats.skipped_events += 10
+        stats.lane_requests += 10
+        stats.batched_requests += 2
         snap = stats.snapshot()
-        assert snap["type"] == "ff_stats"
-        assert snap["skips"] == 2
-        assert snap["skipped_events"] == 10
+        assert snap == {"type": "ff_stats", "lane_requests": 10,
+                        "batched_requests": 2}
 
     def test_register_into_exposes_live_gauges(self):
         stats = FFStats()
         reg = MetricsRegistry()
         stats.register_into(reg)
-        assert reg.snapshot()["ff.skips"]["value"] == 0
-        stats.skips = 5
-        assert reg.snapshot()["ff.skips"]["value"] == 5
+        assert reg.snapshot()["ff.lane_requests"]["value"] == 0
+        stats.lane_requests = 5
+        assert reg.snapshot()["ff.lane_requests"]["value"] == 5

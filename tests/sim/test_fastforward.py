@@ -1,8 +1,8 @@
-"""Steady-state fast-forward: snapshot algebra, skipping, bit-identity.
+"""Fast-forward: the mode switch and bit-identity of the fused lanes.
 
 The contract under test is absolute: any result observable from a simulation
 — timings, stats counters, bitmasks, command traces — must be bit-identical
-whether fast-forward ran or the event-driven path executed everything.
+whether the fused lanes ran or the event-driven path executed everything.
 """
 
 import dataclasses
@@ -14,151 +14,11 @@ from repro.analyze.protocol import replay_commands
 from repro.analysis.speedup import measure_point
 from repro.config import GEM5_PLATFORM
 from repro.errors import SimulationError
+from repro.jafar.device import JafarDevice
 from repro.sim import fastforward as ffm
-from repro.sim.engine import Simulator
-from repro.sim.fastforward import (EpochSkipper, PeriodDetector, Pinned,
-                                   StateGroup, apply_delta, exact_mode,
-                                   snapshot_delta)
+from repro.sim.fastforward import exact_mode
 from repro.sim.trace import attach_trace
 from repro.system import Machine
-
-
-# -- snapshot algebra ----------------------------------------------------------
-
-
-class TestSnapshotDelta:
-    def test_int_and_float_slots_difference(self):
-        assert snapshot_delta((10, 2.0), (25, 3.5)) == (15, 1.5)
-
-    def test_equal_pinned_slots_become_none(self):
-        delta = snapshot_delta((1, "rd", None, True, Pinned(7)),
-                               (2, "rd", None, True, Pinned(7)))
-        assert delta == (1, None, None, None, None)
-
-    def test_changed_non_numeric_slot_refuses(self):
-        assert snapshot_delta((1, "rd"), (2, "wr")) is None
-        assert snapshot_delta((1, Pinned(7)), (2, Pinned(8))) is None
-        assert snapshot_delta((1, True), (2, False)) is None
-
-    def test_shape_or_type_mismatch_refuses(self):
-        assert snapshot_delta((1, 2), (1, 2, 3)) is None
-        assert snapshot_delta((1,), (1.0,)) is None
-
-
-class TestApplyDelta:
-    def test_extrapolates_ints_additively(self, engine):
-        assert apply_delta((100, 7), (10, 0), 5) == (150, 7)
-
-    def test_none_steps_carry_the_base_value(self, engine):
-        assert apply_delta((100, "rd"), (10, None), 3) == (130, "rd")
-
-    def test_integral_floats_extrapolate_exactly(self, engine):
-        assert apply_delta((2.0,), (3.0,), 4) == (14.0,)
-
-    def test_non_integral_float_refuses(self, engine):
-        assert apply_delta((0.5,), (1.0,), 2) is None
-        assert apply_delta((0.0,), (0.3,), 2) is None
-
-    def test_float_beyond_exact_range_refuses(self, engine):
-        assert apply_delta((float(2**52),), (float(2**52),), 4) is None
-
-    def test_zero_float_step_is_always_safe(self, engine):
-        assert apply_delta((0.5,), (0.0,), 1000) == (0.5,)
-
-
-class TestPeriodDetector:
-    def test_confirms_after_repeated_deltas(self):
-        detector = PeriodDetector(confirm=2)
-        assert detector.observe((0,)) is None
-        assert detector.observe((10,)) is None     # first delta seen once
-        assert detector.observe((20,)) == (10,)    # seen twice: confirmed
-
-    def test_changed_delta_restarts_confirmation(self):
-        detector = PeriodDetector(confirm=2)
-        for snap in ((0,), (10,), (25,)):          # deltas 10 then 15
-            assert detector.observe(snap) is None
-        assert detector.observe((40,)) == (15,)
-
-    def test_prime_reseats_after_a_jump(self):
-        detector = PeriodDetector(confirm=2)
-        for snap in ((0,), (10,), (20,)):
-            detector.observe(snap)
-        detector.prime((120,))                     # caller jumped 10 periods
-        assert detector.observe((130,)) == (10,)   # cadence unbroken
-
-    def test_rejects_confirm_below_one(self):
-        with pytest.raises(SimulationError):
-            PeriodDetector(confirm=0)
-
-
-class TestStateGroup:
-    def test_roundtrip_routes_slots_back(self):
-        a = {"x": 1, "y": 2}
-        b = {"z": 3}
-        group = StateGroup([
-            (lambda: (a["x"], a["y"]), lambda s: a.update(x=s[0], y=s[1])),
-            (lambda: (b["z"],), lambda s: b.update(z=s[0])),
-        ])
-        assert group.snapshot() == (1, 2, 3)
-        group.restore((10, 20, 30))
-        assert a == {"x": 10, "y": 20} and b == {"z": 30}
-
-    def test_restore_before_snapshot_raises(self):
-        group = StateGroup([(lambda: (1,), lambda s: None)])
-        with pytest.raises(SimulationError):
-            group.restore((1,))
-
-
-class TestEpochSkipper:
-    def test_skip_extrapolates_and_reprimes(self):
-        state = {"t": 0}
-        skipper = EpochSkipper([(lambda: (state["t"],),
-                                 lambda s: state.update(t=s[0]))])
-        delta = None
-        for t in (0, 100, 200):
-            state["t"] = t
-            delta = skipper.observe()
-        assert delta == (100,)
-        assert skipper.skip(delta, 7, 100)
-        assert state["t"] == 900
-        # The cadence is unbroken after the jump: one live period re-confirms.
-        state["t"] = 1000
-        assert skipper.observe() == (100,)
-
-    def test_refuses_nonpositive_periods_and_unseen_state(self):
-        skipper = EpochSkipper([(lambda: (0,), lambda s: None)])
-        assert not skipper.skip((1,), 0, 1)
-        assert not skipper.skip((1,), -3, 1)
-
-
-# -- engine primitive ----------------------------------------------------------
-
-
-class TestFastForwardTo:
-    def test_jumps_over_a_drained_window(self):
-        sim = Simulator()
-        sim.fast_forward_to(12345)
-        assert sim.now == 12345
-
-    def test_refuses_backwards(self):
-        sim = Simulator()
-        sim.advance_to(100)
-        with pytest.raises(SimulationError):
-            sim.fast_forward_to(50)
-
-    def test_refuses_to_jump_over_a_live_event(self):
-        sim = Simulator()
-        sim.schedule_at(500, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.fast_forward_to(1000)
-        sim.fast_forward_to(499)  # up to (not past) the event is fine
-        assert sim.now == 499
-
-    def test_cancelled_events_do_not_block(self):
-        sim = Simulator()
-        sim.schedule_at(500, lambda: None).cancel()
-        sim.fast_forward_to(1000)
-        assert sim.now == 1000
 
 
 # -- control flags -------------------------------------------------------------
@@ -215,12 +75,39 @@ def _run_select(machine, rows=N_ROWS):
     return result, bitmask
 
 
+@pytest.fixture
+def fused_bursts(monkeypatch):
+    """Counts the bursts ``JafarDevice._fused_row_run`` serves."""
+    served = [0]
+    original = JafarDevice._fused_row_run
+
+    def counting(self, *args):
+        done, cursor, alu_ready = original(self, *args)
+        served[0] += done
+        return done, cursor, alu_ready
+
+    monkeypatch.setattr(JafarDevice, "_fused_row_run", counting)
+    return served
+
+
+def _dram_state(machine):
+    """Every rank's and bank's timing state plus the machine's metrics."""
+    ranks = [r for ch in machine.controller.channels for r in ch.all_ranks()]
+    return (
+        [(r.io_free_ps, tuple(r._act_times), r.refresh.next_refresh_ps,
+          r.refresh.refreshes_issued, r.refresh.busy_ps) for r in ranks],
+        [(b.open_row, b.next_act_ps, b.next_col_ps, b.next_pre_ps,
+          b._data_free_ps, b.activations, b.row_hits, b.row_misses)
+         for r in ranks for b in r.banks],
+        machine.metrics.snapshot(),
+    )
+
+
 @needs_fastforward
 class TestBitIdentity:
-    def test_device_select_matches_exact(self, engine):
-        ffm.STATS.reset()
+    def test_device_select_matches_exact(self, engine, fused_bursts):
         fast, fast_mask = _run_select(Machine(GEM5_PLATFORM))
-        assert ffm.STATS.skipped_events > 0
+        assert fused_bursts[0] > 0, "the JAFAR fused row run never engaged"
         with exact_mode():
             exact, exact_mask = _run_select(Machine(GEM5_PLATFORM))
         assert fast == exact
@@ -228,8 +115,10 @@ class TestBitIdentity:
 
     def test_measure_point_matches_exact(self, engine):
         """End to end: device run + CPU baseline + derived figures."""
+        ffm.STATS.reset()
         fast = measure_point(0.3, 16384, config=GEM5_PLATFORM, seed=11,
                              kernel="branchy")
+        assert ffm.STATS.lane_requests > 0, "the stream lane never engaged"
         with exact_mode():
             exact = measure_point(0.3, 16384, config=GEM5_PLATFORM, seed=11,
                                   kernel="branchy")
@@ -247,38 +136,44 @@ class TestBitIdentity:
 
 @needs_fastforward
 class TestRefreshDeadlineMidPeriod:
-    """tREFI lands mid-cadence: fast-forward must stop short of the deadline,
-    execute the refresh event-driven, and still match command for command."""
+    """tREFI lands mid-stream: the fused row runs must stop at every refresh
+    deadline, leave the refresh to the exact path, and still match the
+    event-driven run state for state and command for command."""
 
-    def test_ff_exits_early_and_replays_identically(self):
+    def test_ff_exits_early_and_replays_identically(self, fused_bursts):
         machine_ff = Machine(GEM5_PLATFORM)
-        trace_ff = attach_trace(machine_ff)
-        ffm.STATS.reset()
         fast, fast_mask = _run_select(machine_ff)
-        assert ffm.STATS.skips > 0, "fast-forward never engaged"
+        assert fused_bursts[0] > 0, "the JAFAR fused row run never engaged"
 
-        # Refreshes were serviced live by the event-driven path: the skip
-        # horizon stopped short of every tREFI deadline instead of jumping
-        # the refresh (which would have corrupted bank state silently).
+        # Refreshes were serviced by the exact path: the fused runs stopped
+        # short of every tREFI deadline instead of serving bursts through
+        # it (which would have corrupted bank state silently).
         refreshes = sum(r.refresh.refreshes_issued
                         for ch in machine_ff.controller.channels
                         for r in ch.all_ranks())
         assert refreshes > 0, "no tREFI deadline landed mid-stream"
-        assert any(c.kind == "REF" for c in trace_ff.commands)
 
         machine_ex = Machine(GEM5_PLATFORM)
-        trace_ex = attach_trace(machine_ex)
         with exact_mode():
             exact, exact_mask = _run_select(machine_ex)
-
         assert fast == exact
         assert fast_mask == exact_mask
-        # Command-for-command: the synthesised command stream of the skipped
-        # periods is indistinguishable from the event-driven one.
-        assert trace_ff.commands == trace_ex.commands
-        assert trace_ff.records == trace_ex.records
+        assert _dram_state(machine_ff) == _dram_state(machine_ex)
 
-        # And the stream is protocol-legal: replay it through the DDR3
-        # command checker used by the JEDEC sanitizer.
-        violations = replay_commands(trace_ff.commands, machine_ff.timings)
+        # A recorded trace keeps the device on the per-burst path, so the
+        # traced fast-mode run must issue the exact run's command stream,
+        # and that stream must be protocol-legal: replay it through the
+        # DDR3 command checker used by the JEDEC sanitizer.
+        machine_tr = Machine(GEM5_PLATFORM)
+        trace_tr = attach_trace(machine_tr)
+        traced, traced_mask = _run_select(machine_tr)
+        machine_tx = Machine(GEM5_PLATFORM)
+        trace_tx = attach_trace(machine_tx)
+        with exact_mode():
+            _run_select(machine_tx)
+        assert (traced, traced_mask) == (fast, fast_mask)
+        assert any(c.kind == "REF" for c in trace_tr.commands)
+        assert trace_tr.commands == trace_tx.commands
+        assert trace_tr.records == trace_tx.records
+        violations = replay_commands(trace_tr.commands, machine_tr.timings)
         assert violations == []

@@ -205,20 +205,19 @@ def test_cache_healthy_traffic_is_silent(sanitizers):
 
 
 def test_fastforward_catches_bad_extrapolation(monkeypatch):
-    from repro.sim import fastforward
+    from repro.compute import get_backend
 
-    real = fastforward.apply_delta
+    backend_cls = type(get_backend())
+    real = backend_cls.fused_hit_run
 
-    def skewed(base, delta, periods):
-        # Seeded bug: the first snapshot slot (the driver clock) lands a
-        # microsecond late, so the re-materialised state is inconsistent
-        # with the rest of the extrapolation.
-        out = real(base, delta, periods)
-        if out is None:
-            return None
-        return (out[0] + 1_000_000,) + out[1:]
+    def skewed(self, *args):
+        # Seeded bug: the JAFAR fused row run returns an ALU-ready time a
+        # microsecond late, so the lane-served bursts no longer equal the
+        # per-burst Rank.access replay.
+        out = real(self, *args)
+        return out[:2] + (out[2] + 1_000_000,) + out[3:]
 
-    monkeypatch.setattr(fastforward, "apply_delta", skewed)
+    monkeypatch.setattr(backend_cls, "fused_hit_run", skewed)
     # Under ``pytest --simsan`` the sanitizers are already installed (and
     # fast-forward already forced off), so the install-time cross-check
     # would never re-run; cycle the global install around the check.
@@ -230,7 +229,29 @@ def test_fastforward_catches_bad_extrapolation(monkeypatch):
             with simsan.sanitized():
                 pass  # the install-time cross-check must already abort
     finally:
-        monkeypatch.undo()  # heal apply_delta before any reinstall
+        monkeypatch.undo()  # heal fused_hit_run before any reinstall
+        if was_active:
+            simsan.install()
+
+
+def test_fastforward_cross_check_refuses_to_pass_vacuously(monkeypatch):
+    from repro.cpu.core import Core
+    from repro.dram.controller import MemoryController
+
+    # Seeded bug: neither the stream lane nor the controller lanes ever
+    # engage, so agreeing with the exact run proves nothing about them.
+    monkeypatch.setattr(Core, "_stream_run_lane", lambda self, k, *a: k)
+    monkeypatch.setattr(MemoryController, "_lane_try",
+                        lambda self, *a: None)
+    was_active = simsan.active()
+    if was_active:
+        simsan.uninstall()
+    try:
+        with pytest.raises(SanitizerError, match="vacuous"):
+            with simsan.sanitized():
+                pass
+    finally:
+        monkeypatch.undo()
         if was_active:
             simsan.install()
 
