@@ -1,8 +1,8 @@
 """Pluggable batch-compute backends (DESIGN.md §10).
 
 The simulator's batch kernels — predicate masks, bitmask pack/unpack/
-popcount, the fused interior-burst hit algebra, the batched request
-pipeline (DESIGN.md §12) — are reached through the active
+popcount, the fused interior-burst hit algebra, the stream-lane kernels
+(DESIGN.md §12) — are reached through the active
 :class:`ComputeBackend`.  Two implementations ship: ``python``
 (per-element reference loops) and ``numpy`` (vectorised, bit-identical by
 contract).

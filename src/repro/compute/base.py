@@ -2,8 +2,8 @@
 
 Every hot-path batch kernel in the simulator — predicate evaluation over
 column segments, bitmask pack/unpack/popcount, the fused interior-burst
-hit algebra, and the batched request pipeline — is reached through one of
-the methods below.  Two implementations exist:
+hit algebra, the write-drain closed form and the stream-lane log folds —
+is reached through one of the methods below.  Two implementations exist:
 
 * ``python`` (:mod:`repro.compute.python_backend`) — per-element pure
   Python loops; the executable specification every other backend is
@@ -108,58 +108,24 @@ class ComputeBackend:
         """
         raise NotImplementedError
 
-    # -- batched request pipeline (DESIGN.md §12) ----------------------------------
+    # -- stream-lane kernels (DESIGN.md §12) ---------------------------------------
     #
-    # The kernels below execute *runs* of same-phase requests in one call:
-    # the per-request controller loop (issue/hit-timing/counter-account) is
-    # the last event-driven residue outside the seam, and batching it is
-    # where paper-scale (4M-row) sweeps become routine.  Batch formation —
-    # deciding how long a run is safe — stays with the caller: runs never
-    # cross a row boundary, a refresh window, or a write-drain trigger, so
-    # every kernel computes pure row-hit algebra and the event-driven path
-    # handles each boundary exactly.
+    # The CPU stream lane serves a write drain's same-row bursts through
+    # ``batch_row_timing`` and folds its access log into the IMC counters
+    # through ``batch_mark_busy`` / ``batch_latency_hist``.
 
     def batch_row_timing(self, n: int, arrival: int, col0: int, busfree0: int,
-                         latency: int, burst: int, tccd: int,
-                         chained: bool = False) -> tuple[int, int, int]:
+                         latency: int, burst: int,
+                         tccd: int) -> tuple[int, int, int]:
         """Timing of ``n >= 1`` consecutive same-row hit bursts on one bank.
 
-        Each burst runs the ``Bank.access`` row-hit branch: ``cas_i =
-        max(col_i, at_i, busfree_i - latency)``, ``de_i = cas_i + latency +
-        burst``, ``col_{i+1} = cas_i + tccd``, ``busfree_{i+1} = de_i``.
-        With ``chained=False`` every burst arrives at ``arrival`` (a write
-        drain handing the whole pending queue over at once); with
-        ``chained=True`` burst ``i+1`` arrives at ``de_i`` (the JAFAR
-        write-back FIFO, which waits for each burst's data phase).  Returns
-        ``(cas_first, cas_last, de_last)``; intermediate values are affine
-        in ``i``, so callers fold counters from the endpoints alone.
-        """
-        raise NotImplementedError
-
-    def batch_issue(self, ft: list, floor0: int, now0: int,
-                    cps: np.ndarray, outs: np.ndarray | None, backlog0: float,
-                    post_budget: int, line_bytes: int, col0: int,
-                    busfree0: int, next_ref: int, cl: int, burst: int,
-                    tccd: int):
-        """Solve a run of streaming read lines against one open row.
-
-        The coupled recurrence of the CPU stream loop: line ``p`` issues at
-        ``issue_p = max(issue_{p-1}, raw_p)`` where ``raw_p`` is the
-        prefetch ring (``ft[p]`` for ``p < len(ft)``, else ``now_{p-depth}``),
-        hits with ``cas_p = max(cas_{p-1} + max(tccd, burst), issue_p)``
-        (first line seeded from ``col0``/``busfree0``), and the consuming
-        core advances ``now_p = max(now_{p-1}, de_p) + cps[p]``.  Lines
-        whose issue reaches ``next_ref``, or whose posted-write volume
-        (``outs`` accumulated into ``backlog0``, one post per ``line_bytes``)
-        would exceed ``post_budget`` posts, are *not* executed — the caller's
-        event-driven path services them.  ``outs=None`` means no write
-        traffic.  ``ft`` is a plain list in consumption order.  Returns
-        ``(done, issue, de, now, stall, posts, backlog, cas_last)`` where
-        ``issue``/``de``/``now`` are length-``done`` *sequences* of Python
-        ints — a list or an int64 ndarray, whichever is the backend's
-        natural form (short runs stay in lists to avoid conversion
-        round-trips); all values are bit-identical to the sequential
-        per-line flow.
+        Every burst arrives at ``arrival`` (a write drain handing the whole
+        pending queue over at once) and runs the ``Bank.access`` row-hit
+        branch: ``cas_i = max(col_i, arrival, busfree_i - latency)``,
+        ``de_i = cas_i + latency + burst``, ``col_{i+1} = cas_i + tccd``,
+        ``busfree_{i+1} = de_i``.  Returns ``(cas_first, cas_last,
+        de_last)``; intermediate values are affine in ``i``, so callers fold
+        counters from the endpoints alone.
         """
         raise NotImplementedError
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import MAX_EXACT_FLOAT, ComputeBackend
-from .python_backend import batch_issue_reference, mark_busy_reference
+from .python_backend import mark_busy_reference
 
 #: Headroom subtracted from 2**53 before trusting ``round(ds + wp_full)``
 #: to be exact along an extrapolated stretch (covers the per-iteration
@@ -28,12 +28,11 @@ _FLOAT_EXACT_LIMIT = int(MAX_EXACT_FLOAT) - (1 << 20)
 #: int64 headroom for the vectorised sum-of-squares folds.
 _INT64_SAFE = 1 << 62
 
-#: Shared zero-length result for batch_issue early exits.
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-
-#: Below this element count the batch kernels run the sequential reference:
-#: per-call ufunc dispatch (~1-2 µs/op, ~10 ops/solve) costs more than a
-#: short Python loop, and the write-drain cadence makes short runs common.
+#: Below this element count the stream-log folds (``batch_mark_busy``,
+#: ``batch_latency_hist``) run the sequential reference: per-call ufunc
+#: dispatch (~1-2 µs/op, ~10 ops/fold) costs more than a short Python loop,
+#: and short lane runs (TPC-H's short streams, runs cut by a write drain)
+#: make short logs common.
 _SMALL_N = 48
 
 
@@ -169,8 +168,8 @@ class NumpyBackend(ComputeBackend):
         return done, cursor, alu_ready, io, b_col, b_dfree, b_pre
 
     def batch_row_timing(self, n: int, arrival: int, col0: int, busfree0: int,
-                         latency: int, burst: int, tccd: int,
-                         chained: bool = False) -> tuple[int, int, int]:
+                         latency: int, burst: int,
+                         tccd: int) -> tuple[int, int, int]:
         # First burst: the seeded hit branch.
         cas = col0
         if arrival > cas:
@@ -181,121 +180,10 @@ class NumpyBackend(ComputeBackend):
         # From the second burst on the recurrence is affine: busfree is the
         # previous data end (cas + latency + burst) and col is cas + tccd,
         # so cas_{i+1} = cas_i + G with the arrival term dominated (the
-        # common arrival is <= cas_0; a chained arrival IS the previous data
-        # end, already one of the max terms).
-        if chained:
-            step = latency + burst
-            if tccd > step:
-                step = tccd
-        else:
-            step = burst if burst > tccd else tccd
+        # common arrival is <= cas_0).
+        step = burst if burst > tccd else tccd
         cas_last = cas + (n - 1) * step
         return cas, cas_last, cas_last + latency + burst
-
-    #: Fixpoint iterations tried before batch_issue defers to the sequential
-    #: reference.  Positions below ``t * depth`` are exact after iteration
-    #: ``t``, and a run entered mid-steady-state settles in one or two.
-    _ISSUE_MAX_ITERS = 6
-
-    def batch_issue(self, ft, floor0, now0, cps, outs, backlog0, post_budget,
-                    line_bytes, col0, busfree0, next_ref, cl, burst, tccd):
-        m_cap = int(cps.shape[0])
-        posts_cum = None
-        if m_cap < _SMALL_N:
-            # Short runs (the write-drain cadence) are cheaper sequentially;
-            # the reference breaks at the budget line, so it is O(done).
-            return batch_issue_reference(ft, floor0, now0, cps, outs,
-                                         backlog0, post_budget, line_bytes,
-                                         col0, busfree0, next_ref, cl, burst,
-                                         tccd)
-        if outs is not None:
-            # The backlog accumulates in float64, but every quantity is an
-            # integral value far below 2**53, so the running float state
-            # equals exact integer arithmetic and the post schedule is a
-            # cumulative-sum division.  Non-integral volumes fall back to
-            # the sequential reference (its float order is authoritative).
-            if not (float(backlog0).is_integer()
-                    and bool(np.all(outs == np.floor(outs)))):
-                return batch_issue_reference(ft, floor0, now0, cps, outs,
-                                             backlog0, post_budget,
-                                             line_bytes, col0, busfree0,
-                                             next_ref, cl, burst, tccd)
-            posts_cum = ((int(backlog0) + np.cumsum(outs.astype(np.int64)))
-                         // line_bytes)
-            m_cap = int(np.searchsorted(posts_cum, post_budget, side="right"))
-            if m_cap == 0:
-                return (0, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, 0, 0,
-                        backlog0, 0)
-            if m_cap < _SMALL_N:
-                # The post budget capped the run short; solve sequentially.
-                return batch_issue_reference(ft, floor0, now0, cps, outs,
-                                             backlog0, post_budget,
-                                             line_bytes, col0, busfree0,
-                                             next_ref, cl, burst, tccd)
-        depth = len(ft)
-        cps_a = cps[:m_cap]
-        T = np.cumsum(cps_a)
-        g = burst if burst > tccd else tccd
-        k_idx = np.arange(m_cap, dtype=np.int64)
-        kg = k_idx * g
-        seed0 = col0
-        dflo = busfree0 - cl
-        if dflo > seed0:
-            seed0 = dflo
-        raw = np.empty(m_cap, dtype=np.int64)
-        head = depth if depth < m_cap else m_cap
-        raw[:head] = ft[:head]
-        # Jacobi iteration from the no-stall lower bound: every operator is
-        # monotone and each position depends only on strictly earlier ones,
-        # so iterates climb to the unique (sequential) solution; a verify
-        # pass that reproduces its own input is that solution.
-        now = now0 + T
-        issue = de = None
-        cummax = np.maximum.accumulate
-        maximum = np.maximum
-        for _ in range(self._ISSUE_MAX_ITERS):
-            if m_cap > depth:
-                raw[depth:] = now[:m_cap - depth]
-            issue = cummax(raw)
-            maximum(issue, floor0, out=issue)
-            b = issue.copy()
-            if seed0 > b[0]:
-                b[0] = seed0
-            cas = cummax(b - kg) + kg
-            de = cas + (cl + burst)
-            adj = de.copy()
-            adj[1:] -= T[:-1]
-            run = cummax(adj)
-            maximum(run, now0, out=run)
-            new_now = run + T
-            if np.array_equal(new_now, now):
-                break
-            now = new_now
-        else:
-            return batch_issue_reference(ft, floor0, now0, cps, outs,
-                                         backlog0, post_budget, line_bytes,
-                                         col0, busfree0, next_ref, cl, burst,
-                                         tccd)
-        done = int(np.searchsorted(issue, next_ref, side="left"))
-        if done == 0:
-            return 0, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, 0, 0, backlog0, 0
-        if done < m_cap:
-            issue = issue[:done]
-            de = de[:done]
-            now = now[:done]
-            cas = cas[:done]
-        now_prev = np.empty(done, dtype=np.int64)
-        now_prev[0] = now0
-        now_prev[1:] = now[:-1]
-        stall = int(np.maximum(de - now_prev, 0).sum())
-        if posts_cum is None:
-            posts = 0
-            backlog = backlog0
-        else:
-            posts = int(posts_cum[done - 1])
-            backlog = float(int(backlog0)
-                            + int(outs[:done].sum()) - posts * line_bytes)
-        return done, issue, de, now, stall, posts, backlog, int(cas[-1])
 
     def batch_mark_busy(self, s: list, starts, ends) -> None:
         n = int(starts.shape[0])

@@ -47,85 +47,6 @@ def mark_busy_reference(s: list, start: int, end: int) -> None:
     s[1] = end
 
 
-def batch_issue_reference(ft, floor0: int, now0: int, cps, outs,
-                          backlog0: float, post_budget: int, line_bytes: int,
-                          col0: int, busfree0: int, next_ref: int, cl: int,
-                          burst: int, tccd: int):
-    """Sequential-semantics stream-run solve (the shared reference).
-
-    The numpy backend falls back here when the posted-write volumes are not
-    exactly representable as integers, the run is too short to vectorise,
-    or its fixpoint solve does not converge, so the authoritative per-line
-    flow lives once, here.  The loop mirrors the CPU stream hot path op for
-    op (including the float backlog accumulation order).  Results come back
-    as plain lists (the sequence contract of :meth:`ComputeBackend
-    .batch_issue`): short runs dominate this path and list I/O keeps them
-    free of ndarray round-trips.
-    """
-    ft_list = ft
-    cps_list = cps.tolist()
-    outs_list = outs.tolist() if outs is not None else None
-    depth = len(ft_list)
-    m = len(cps_list)
-    issue_out: list[int] = []
-    de_out: list[int] = []
-    now_out: list[int] = []
-    floor = floor0
-    now = now0
-    col = col0
-    busfree = busfree0
-    backlog = backlog0
-    posts = 0
-    stall = 0
-    cas = 0
-    done = 0
-    for p in range(m):
-        if outs_list is not None:
-            out = outs_list[p]
-        else:
-            out = 0.0
-        if out:
-            # Peek the line's posting outcome first: a post beyond the
-            # budget would trigger a drain mid-line, so the whole line is
-            # left to the event-driven path.  The float order matches the
-            # per-line loop exactly (add, then repeated subtraction).
-            nb = backlog + out
-            np_count = posts
-            while nb >= line_bytes:
-                nb -= line_bytes
-                np_count += 1
-            if np_count > post_budget:
-                break
-        else:
-            nb = backlog
-            np_count = posts
-        raw = ft_list[p] if p < depth else now_out[p - depth]
-        issue = raw if raw > floor else floor
-        if issue >= next_ref:
-            break
-        cas = col
-        if issue > cas:
-            cas = issue
-        dflo = busfree - cl
-        if dflo > cas:
-            cas = dflo
-        de = cas + cl + burst
-        busfree = de
-        col = cas + tccd
-        floor = issue
-        if de > now:
-            stall += de - now
-            now = de
-        now += cps_list[p]
-        backlog = nb
-        posts = np_count
-        issue_out.append(issue)
-        de_out.append(de)
-        now_out.append(now)
-        done += 1
-    return done, issue_out, de_out, now_out, stall, posts, backlog, cas
-
-
 class PythonBackend(ComputeBackend):
     """Pure-Python per-element loops; the bit-identity reference."""
 
@@ -233,16 +154,15 @@ class PythonBackend(ComputeBackend):
         return done, cursor, alu_ready, io, b_col, b_dfree, b_pre
 
     def batch_row_timing(self, n: int, arrival: int, col0: int, busfree0: int,
-                         latency: int, burst: int, tccd: int,
-                         chained: bool = False) -> tuple[int, int, int]:
+                         latency: int, burst: int,
+                         tccd: int) -> tuple[int, int, int]:
         cas_first = cas = de = 0
         col = col0
         busfree = busfree0
-        at = arrival
         for i in range(n):
             cas = col
-            if at > cas:
-                cas = at
+            if arrival > cas:
+                cas = arrival
             dflo = busfree - latency
             if dflo > cas:
                 cas = dflo
@@ -251,15 +171,7 @@ class PythonBackend(ComputeBackend):
             col = cas + tccd
             if i == 0:
                 cas_first = cas
-            if chained:
-                at = de
         return cas_first, cas, de
-
-    def batch_issue(self, ft, floor0, now0, cps, outs, backlog0, post_budget,
-                    line_bytes, col0, busfree0, next_ref, cl, burst, tccd):
-        return batch_issue_reference(ft, floor0, now0, cps, outs, backlog0,
-                                     post_budget, line_bytes, col0, busfree0,
-                                     next_ref, cl, burst, tccd)
 
     def batch_mark_busy(self, s: list, starts, ends) -> None:
         for start, end in zip(starts.tolist(), ends.tolist()):

@@ -37,14 +37,6 @@ from ..obs.tracer import TRACE as _TRACE
 from ..sim.clock import ClockDomain
 from ..sim.fastforward import CONFIRM_PERIODS, FF as _FF, STATS as _FF_STATS
 
-# Minimum run length before the scan loop hands a burst to the backend's
-# ``batch_issue`` kernel.  Shorter runs (posted-write budget or row-boundary
-# capped, common at mid selectivity) stay on the inlined per-request lane
-# path, which beats per-batch slice/concat setup below this break-even.
-# Matches the numpy backend's own reference-delegation threshold, so every
-# batch that does form takes the vectorised fixpoint path.
-_BATCH_MIN = 48
-
 
 def _per_line(values: np.ndarray | float, nlines: int,
               name: str) -> np.ndarray:
@@ -171,11 +163,9 @@ class Core:
         # Pre-convert per-line compute to picoseconds.  np.rint rounds half
         # to even exactly like round(), so cps[k] == cycles_to_ps(per_line[k])
         # bit for bit.  Per-line cycle counts stay below ~1e6 at a ~1e3 ps
-        # period, so the product is far inside int64.  The array forms feed
-        # the batch kernels; the list forms feed the per-line loop.
-        cps_a = np.rint(  # analyze: ignore[int-overflow] <=1e6 cycles * ~1e3 ps/cycle
-            per_line * self.clock.period_ps).astype(np.int64)
-        cps = cps_a.tolist()
+        # period, so the product is far inside int64.
+        cps = np.rint(  # analyze: ignore[int-overflow] <=1e6 cycles * ~1e3 ps/cycle
+            per_line * self.clock.period_ps).astype(np.int64).tolist()
         # The prefetcher keeps up to `depth` fetches in flight; a fetch for
         # line k is issued when the core finished consuming line k - depth
         # (or at phase start during ramp-up).  The deque is modelled as a
@@ -197,21 +187,6 @@ class Core:
                      and line_bytes == controller.mapping.burst_bytes
                      and base_addr % line_bytes == 0)
         has_writes = fuse_gate and any(out_per_line_f)
-        # Batch-formation inputs (DESIGN.md §12).  The posted-write schedule
-        # is deterministic — the running byte total divided by the line size
-        # — so the lane can predict where a drain will truncate a batch and
-        # skip unprofitable short ones.  Non-integral write volumes cannot
-        # be predicted exactly (the backlog order is float-authoritative),
-        # so such phases keep the per-line path (outs_a None disables
-        # batching when has_writes is set).
-        outs_a = None
-        posts_pc = None
-        if has_writes:
-            outs_i = np.asarray(out_per_line)
-            if bool(np.all(outs_i == np.floor(outs_i))):
-                outs_a = outs_i
-                posts_pc = (np.cumsum(outs_i.astype(np.int64))  # analyze: ignore[int-overflow] phase bytes << 2**63
-                            // line_bytes)
         fuse_retry = 0
         box = [0, 0, 0, 0.0, 0, 0]
 
@@ -224,9 +199,8 @@ class Core:
                 box[4] = lines_written
                 box[5] = ft_idx
                 new_k = self._stream_run_lane(k, nlines, base_addr, cps,
-                                              out_per_line_f, cps_a, outs_a,
-                                              posts_pc, finish_times, box,
-                                              has_writes)
+                                              out_per_line_f, finish_times,
+                                              box, has_writes)
                 if new_k > k:
                     if _TRACE.on:
                         # One synthesized span summarising the lane-served
@@ -294,9 +268,7 @@ class Core:
         return stats
 
     def _stream_run_lane(self, k: int, nlines: int, base_addr: int,
-                         cps: list, outs: list, cps_a: np.ndarray,
-                         outs_a: np.ndarray | None,
-                         posts_pc: np.ndarray | None, ft: list, box: list,
+                         cps: list, outs: list, ft: list, box: list,
                          has_writes: bool) -> int:
         """Execute a run of stream lines entirely in Python locals.
 
@@ -312,17 +284,12 @@ class Core:
         logged access is served on one channel, so the log's ends strictly
         increase and its starts ratchet through the issue floor — the
         ordering the vectorised fold needs to equal per-access marking
-        (DESIGN.md §12).  Runs of row-hit lines inside one open row are
-        further handed to the compute backend as one ``batch_issue`` call
-        (DESIGN.md §12); batches never span a row crossing, a refresh
-        deadline, or a write-drain trigger, so the per-line flow below
-        services every boundary exactly.  Row hits outside a batch use the
-        inlined Bank.access hit algebra; row misses (the input/output row
-        ping-pong around drains, row crossings) and refresh-deadline lines
-        are replayed through the exact :meth:`Rank.access` path with the
-        locals synced down and back up around the call (the rank settles
-        the refresh inside the replay; the deadline is then reloaded).  A
-        run covers at most the current bank and exits early — writing all
+        (DESIGN.md §12).  Row hits use the inlined Bank.access hit
+        algebra; row misses (the input/output row ping-pong around drains,
+        row crossings) and refresh-deadline lines are replayed through the
+        exact :meth:`Rank.access` path with the locals synced down and back
+        up around the call (the rank settles the refresh inside the replay;
+        the deadline is then reloaded).  A run covers at most the current bank and exits early — writing all
         state back — when a write drain cannot be validated; the caller's
         per-line loop handles the boundary exactly.
 
@@ -476,14 +443,7 @@ class Core:
         # Access log: one [start, end) busy interval per access in stream
         # order, folded into the busy trackers and the read-latency
         # histogram once, at lane exit (IMCCounters.fold_stream_log).
-        # Per-line accesses collect in acc_s/acc_e; a batch first closes
-        # them into an int64 segment, then appends its own issue/end
-        # sequences as the next one, so a long lane holds 16 bytes per
-        # access rather than two Python ints.  n_seg counts the segment
-        # entries; w_at holds the log indices of the write entries.
-        seg_s: list = []
-        seg_e: list = []
-        n_seg = 0
+        # w_at holds the log indices of the write entries.
         acc_s: list = []
         acc_e: list = []
         w_at: list = []
@@ -491,104 +451,14 @@ class Core:
         log_e = acc_e.append
 
         lane_count = 0
-        batched = 0
         backend = get_backend()
-        batch_issue = backend.batch_issue
-        searchsorted = np.searchsorted
-        can_batch = outs_a is not None or not has_writes
         depth = len(ft)
         j = k
         bail_posts = 0
-        batch_retry = 0
         while j < limit:
             if row_countdown == 0:
                 r_row += 1
                 row_countdown = lpr
-            if can_batch and open_row_l == r_row and j >= batch_retry:
-                # Batched pipeline (DESIGN.md §12): hand the rest of the
-                # open row to the backend as one batch_issue call.  The
-                # kernel truncates at the refresh deadline and before any
-                # line whose posted writes would trigger a drain, so every
-                # boundary is replayed by the per-line flow below.  Batches
-                # shorter than the vectorisation break-even (the write-drain
-                # cadence under high selectivity) stay on the per-line path.
-                m_max = limit - j
-                if row_countdown < m_max:
-                    m_max = row_countdown
-                if outs_a is not None and m_max >= _BATCH_MIN:
-                    # lines_written counts this phase's posts so far, so the
-                    # drain truncation point is where the phase-cumulative
-                    # post count first exceeds the remaining queue budget.
-                    m_max = int(searchsorted(
-                        posts_pc[j:j + m_max],
-                        lines_written + batch - 1 - len(pending),
-                        side="right"))
-                if m_max >= _BATCH_MIN:
-                    (done, issue_a, de_a, now_a, stall_inc, n_posts,
-                     backlog_out, cas_last) = batch_issue(
-                        ft[idx:] + ft[:idx], floor, now, cps_a[j:j + m_max],
-                        outs_a[j:j + m_max] if outs_a is not None else None,
-                        backlog, batch - 1 - len(pending), line_bytes,
-                        r_next_col, bus if bus > r_dfree else r_dfree,
-                        r_next_ref, CL, BURST, TCCD)
-                    if done:
-                        if acc_s:
-                            seg_s.append(np.array(acc_s, dtype=np.int64))
-                            seg_e.append(np.array(acc_e, dtype=np.int64))
-                            n_seg += len(acc_s)
-                            acc_s.clear()
-                            acc_e.clear()
-                        seg_s.append(issue_a)
-                        seg_e.append(de_a)
-                        n_seg += done
-                        if r_act_floor > r_next_act:
-                            r_next_act = r_act_floor
-                        de_last = int(de_a[-1])
-                        r_dfree = de_last
-                        cas_last = int(cas_last)
-                        r_next_col = cas_last + TCCD
-                        npre = cas_last + TRTP
-                        if npre > r_next_pre:
-                            r_next_pre = npre
-                        bus = de_last
-                        r_io = de_last
-                        r_hits += done
-                        rowh_v += done
-                        reads_v += done
-                        lane_count += done
-                        batched += done
-                        floor = int(issue_a[-1])
-                        stall += int(stall_inc)
-                        # The last min(done, depth) finish times land in the
-                        # ring exactly where the per-line walk would leave
-                        # them (earlier slots were overwritten).
-                        now_t = now_a[-depth:]
-                        if type(now_t) is not list:
-                            now_t = now_t.tolist()
-                        now = now_t[-1]
-                        start_p = idx + done - len(now_t)
-                        for off, val in enumerate(now_t):
-                            ft[(start_p + off) % depth] = val
-                        idx = (idx + done) % depth
-                        backlog = backlog_out
-                        if n_posts:
-                            w_end = w_cursor + n_posts * line_bytes
-                            pending.extend(range(w_cursor, w_end, line_bytes))
-                            w_cursor = w_end
-                            lines_written += n_posts
-                        j += done
-                        row_countdown -= done
-                    if done < m_max:
-                        # Truncated (refresh / post budget): let the
-                        # per-line flow handle the boundary before retrying.
-                        batch_retry = j + 1
-                    if done:
-                        continue
-                else:
-                    # Too short to vectorise; nothing changes until the
-                    # predicted truncation point (a drain resets the queue
-                    # budget there) or the next row, so skip ahead.
-                    batch_retry = j + m_max + 1
             issue = ft[idx]
             if floor > issue:
                 issue = floor
@@ -770,7 +640,6 @@ class Core:
                             r_hits += run
                             rowh_v += run
                             lane_count += run
-                            batched += run
                             writes_v += run
                             pos += run
                     else:
@@ -823,14 +692,13 @@ class Core:
                             w_io = de_l
                             w_hits += count
                             lane_count += count
-                            batched += count
                             writes_v += count
                             rowh_v += count
                     # One log entry per drain: every burst arrives at wi and
                     # ends strictly after the one before (the bus now ends
                     # at the last), so marking (wi, de_0) .. (wi, de_last)
                     # equals marking (wi, de_last) alone.
-                    w_at.append(n_seg + len(acc_s))
+                    w_at.append(len(acc_s))
                     log_s(wi)
                     log_e(bus)
                     pending.clear()
@@ -873,14 +741,8 @@ class Core:
         cnt.writes.value = writes_v
         cnt.row_hits.value = rowh_v
         cnt.row_misses.value = rowm_v
-        if acc_s:
-            seg_s.append(acc_s)
-            seg_e.append(acc_e)
-        if seg_s:
-            cnt.fold_stream_log(np.concatenate(seg_s, dtype=np.int64),
-                                np.concatenate(seg_e, dtype=np.int64), w_at)
+        cnt.fold_stream_log(acc_s, acc_e, w_at)
         _FF_STATS.lane_requests += lane_count
-        _FF_STATS.batched_requests += batched
         if bail_posts:
             # Finish the interrupted line's posting via the slow path with
             # fully written-back state (identical to the per-line flow).

@@ -26,7 +26,7 @@ from .counters import IMCCounters
 from .dimm import Channel
 from .geometry import AddressMapping, DRAMGeometry
 from .rank import Rank
-from .scheduler import _ARRIVAL_ORDER, SchedulingPolicy, make_policy
+from .scheduler import SchedulingPolicy, make_policy
 from .timing import DDR3Timings
 
 
@@ -186,30 +186,6 @@ class MemoryController:
         return self.submit(
             MemRequest(addr, nbytes, True, arrival_ps, Agent.CPU)).finish_ps
 
-    def _batch_fast_order(self, reqs: Sequence[MemRequest]) -> list[MemRequest] | None:
-        """Arrival order for an all-lane-hit window, or None.
-
-        When every request in the window is covered by an armed template
-        whose row is (still) open, the policy would classify all of them as
-        row hits, and for hit-only windows both shipped policies reduce to
-        arrival order (``hits_preserve_arrival``).  Skipping the per-request
-        decode/classify pass changes nothing about the service order.
-        """
-        if not (_FF.on and self._lane_ok
-                and getattr(self.policy, "hits_preserve_arrival", False)):
-            return None
-        rt, wt = self._read_tpl, self._write_tpl
-        bb = self._burst_bytes
-        for req in reqs:
-            tpl = wt if req.is_write else rt
-            if (tpl is None or tpl.streak < CONFIRM_PERIODS
-                    or req.addr < tpl.span_lo
-                    or req.addr + req.nbytes > tpl.span_hi
-                    or req.addr % bb + req.nbytes > bb
-                    or tpl.bank.open_row != tpl.row):
-                return None
-        return sorted(reqs, key=_ARRIVAL_ORDER)
-
     def submit_batch(self, reqs: Sequence[MemRequest]) -> list[CompletedRequest]:
         """Service a window of outstanding requests in policy order.
 
@@ -219,12 +195,12 @@ class MemoryController:
         """
         if not reqs:
             return []
-        ordered = self._batch_fast_order(reqs)
-        if ordered is None:
-            ordered = self.policy.order(reqs, self.mapping, self.open_rows())
+        ordered = self.policy.order(reqs, self.mapping, self.open_rows())
         completed = [self._service(req) for req in ordered]
-        self.counters.record_run(
-            sorted(completed, key=lambda c: c.request.arrival_ps))
+        for done in sorted(completed, key=lambda c: c.request.arrival_ps):
+            req = done.request
+            self.counters.record(req.is_write, req.arrival_ps, done.finish_ps,
+                                 done.row_hits, done.row_misses)
         self._last_arrival_ps = max(self._last_arrival_ps,
                                     max(r.arrival_ps for r in reqs))
         by_id = {c.request.req_id: c for c in completed}

@@ -60,87 +60,6 @@ class IMCCounters:
         self.row_hits.add(row_hits)
         self.row_misses.add(row_misses)
 
-    def record_run(self, completed: list) -> None:
-        """Account a batch of completed requests, arrival-sorted.
-
-        Bit-identical to calling :meth:`record` once per element in order,
-        by construction: scalar counters are bumped once with the run
-        totals; runs of equal read latencies fold into one
-        ``Histogram.record_n``; and consecutive overlapping/abutting busy
-        intervals are merged before marking — ``BusyTracker.mark_busy``
-        would coalesce them into the same open interval anyway, and
-        per-tracker input order (non-decreasing starts) is preserved, so
-        busy_ps, interval counts, idle-gap records and the open-interval
-        state all come out identical.  Zero-length intervals are dropped
-        here exactly as ``mark_busy`` drops them.
-        """
-        reads = writes = hits = misses = 0
-        r_s = r_e = w_s = w_e = c_s = c_e = None
-        lat_v = None
-        lat_n = 0
-        rq, wq, cq = self.read_queue, self.write_queue, self.combined
-        for done in completed:
-            req = done.request
-            a = done.request.arrival_ps
-            f = done.finish_ps
-            hits += done.row_hits
-            misses += done.row_misses
-            if req.is_write:
-                writes += 1
-                if f > a:
-                    if w_s is None:
-                        w_s, w_e = a, f
-                    elif a <= w_e:
-                        if f > w_e:
-                            w_e = f
-                    else:
-                        wq.mark_busy(w_s, w_e)
-                        w_s, w_e = a, f
-            else:
-                reads += 1
-                lat = f - a
-                if lat == lat_v:
-                    lat_n += 1
-                else:
-                    if lat_n:
-                        self.read_latency.record_n(lat_v, lat_n)
-                    lat_v = lat
-                    lat_n = 1
-                if f > a:
-                    if r_s is None:
-                        r_s, r_e = a, f
-                    elif a <= r_e:
-                        if f > r_e:
-                            r_e = f
-                    else:
-                        rq.mark_busy(r_s, r_e)
-                        r_s, r_e = a, f
-            if f > a:
-                if c_s is None:
-                    c_s, c_e = a, f
-                elif a <= c_e:
-                    if f > c_e:
-                        c_e = f
-                else:
-                    cq.mark_busy(c_s, c_e)
-                    c_s, c_e = a, f
-        if lat_n:
-            self.read_latency.record_n(lat_v, lat_n)
-        if r_s is not None:
-            rq.mark_busy(r_s, r_e)
-        if w_s is not None:
-            wq.mark_busy(w_s, w_e)
-        if c_s is not None:
-            cq.mark_busy(c_s, c_e)
-        if reads:
-            self.reads.add(reads)
-        if writes:
-            self.writes.add(writes)
-        if hits:
-            self.row_hits.add(hits)
-        if misses:
-            self.row_misses.add(misses)
-
     def fold_stream_log(self, starts, ends, write_at: list) -> None:
         """Account the busy intervals and read latencies of a stream log.
 

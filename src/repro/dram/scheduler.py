@@ -44,10 +44,6 @@ class FCFSPolicy:
     """First-come first-served: arrival order, no reordering."""
 
     name = "fcfs"
-    #: An all-row-hit window is serviced in arrival order (trivially true
-    #: here).  The controller's fast-forward lane uses this to skip the
-    #: ordering pass when every request in a batch is a proven row hit.
-    hits_preserve_arrival = True
 
     def order(self, window: Sequence[MemRequest],
               mapping: AddressMapping,
@@ -66,10 +62,6 @@ class FRFCFSPolicy:
     """
 
     name = "fr-fcfs"
-    #: When every request in the window is a row hit, ``hits + misses``
-    #: degenerates to plain arrival order — the fast-forward lane may skip
-    #: the decode/classify pass for such windows without changing the order.
-    hits_preserve_arrival = True
 
     def order(self, window: Sequence[MemRequest],
               mapping: AddressMapping,

@@ -94,21 +94,19 @@ def exact_mode():
 class FFStats:
     """Counters describing how much work the fused lanes served."""
 
-    __slots__ = ("lane_requests", "batched_requests")
+    __slots__ = ("lane_requests",)
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.lane_requests = 0     # requests served by the controller lane
-        self.batched_requests = 0  # lane requests served via batch kernels
+        self.lane_requests = 0  # requests served by the fused lanes
 
     def snapshot(self) -> dict:
         """MetricsRegistry-schema view (one ``snapshot()`` shape everywhere)."""
         return {
             "type": "ff_stats",
             "lane_requests": self.lane_requests,
-            "batched_requests": self.batched_requests,
         }
 
     def register_into(self, registry) -> None:

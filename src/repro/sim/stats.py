@@ -76,30 +76,6 @@ class Histogram:
         bucket = 0 if value < 1 else value.bit_length()
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
-    def record_n(self, value: int, n: int) -> None:
-        """Record ``value`` ``n`` times; bit-identical to ``n`` record calls.
-
-        Every moment update is a scalar multiple of the single-sample one
-        (integer arithmetic, so no accumulation-order concerns), which lets
-        batched pipelines fold runs of equal samples into one call.
-        """
-        if n <= 0:
-            return
-        if value < 0:
-            raise SimulationError(f"histogram {self.name!r}: negative sample {value}")
-        if value != int(value):
-            raise SimulationError(
-                f"histogram {self.name!r}: non-integer sample {value!r}"
-            )
-        value = int(value)
-        self.count += n
-        self.total += value * n
-        self.total_sq += value * value * n
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        bucket = 0 if value < 1 else value.bit_length()
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + n
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from the power-of-two buckets.
 

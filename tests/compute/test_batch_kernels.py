@@ -1,7 +1,7 @@
-"""Differential tests for the batched-pipeline kernels (DESIGN.md §12).
+"""Differential tests for the stream-lane kernels (DESIGN.md §12).
 
-``batch_issue``, ``batch_row_timing``, ``batch_mark_busy`` and
-``batch_latency_hist`` are exercised on seeded random inputs under every
+``batch_row_timing``, ``batch_mark_busy`` and ``batch_latency_hist`` are
+exercised on seeded random inputs under every
 backend and must agree with the python reference exactly.  Parametrisation
 runs over every registered backend name except the reference itself.
 """
@@ -23,11 +23,6 @@ def other(request):
     return _build(request.param)
 
 
-def _seq(x):
-    """Normalise a batch_issue sequence (list or int64 ndarray) for =="""
-    return [int(v) for v in x]
-
-
 def _random_row_timing_case(rng):
     base = int(rng.integers(0, 10**9))
     return dict(
@@ -42,13 +37,12 @@ def _random_row_timing_case(rng):
 
 
 class TestBatchRowTiming:
-    @pytest.mark.parametrize("chained", [False, True])
-    def test_matches_reference_on_random_state(self, other, chained):
-        rng = np.random.default_rng(SEED + chained)
+    def test_matches_reference_on_random_state(self, other):
+        rng = np.random.default_rng(SEED)
         for _ in range(50):
             case = _random_row_timing_case(rng)
-            assert (PY.batch_row_timing(**case, chained=chained)
-                    == other.batch_row_timing(**case, chained=chained)), case
+            assert (PY.batch_row_timing(**case)
+                    == other.batch_row_timing(**case)), case
 
     def test_single_burst_degenerate(self, other):
         case = dict(n=1, arrival=1000, col0=0, busfree0=0, latency=13750,
@@ -58,83 +52,19 @@ class TestBatchRowTiming:
 
     def test_matches_sequential_bank_recurrence(self):
         # The reference itself must equal the literal Bank.access row-hit
-        # recurrence it documents, for both arrival disciplines.
+        # recurrence it documents.
         rng = np.random.default_rng(SEED)
-        for chained in (False, True):
+        for _ in range(2):
             case = _random_row_timing_case(rng)
             col, busfree = case["col0"], case["busfree0"]
-            at = case["arrival"]
             cas_first = cas = de = None
             for i in range(case["n"]):
-                cas = max(col, at, busfree - case["latency"])
+                cas = max(col, case["arrival"], busfree - case["latency"])
                 de = cas + case["latency"] + case["burst"]
                 busfree, col = de, cas + case["tccd"]
                 if i == 0:
                     cas_first = cas
-                if chained:
-                    at = de
-            assert (PY.batch_row_timing(**case, chained=chained)
-                    == (cas_first, cas, de))
-
-
-def _random_issue_case(rng, with_outs):
-    base = int(rng.integers(0, 10**9))
-    m = int(rng.integers(1, 120))
-    depth = int(rng.integers(1, min(m, 8) + 1))
-    ft = sorted(base + int(v) for v in rng.integers(0, 200_000, depth))
-    cps = rng.integers(100, 5000, m).astype(np.int64)
-    outs = None
-    if with_outs:
-        outs = (rng.integers(0, 3, m) * 8.0).astype(np.float64)
-    return dict(
-        ft=list(ft),
-        floor0=base,
-        now0=base + int(rng.integers(0, 10_000)),
-        cps=cps,
-        outs=outs,
-        backlog0=float(int(rng.integers(0, 64))),
-        post_budget=int(rng.integers(0, 40)),
-        line_bytes=64,
-        col0=base + int(rng.integers(0, 50_000)),
-        busfree0=base + int(rng.integers(0, 50_000)),
-        next_ref=(base + int(rng.integers(10_000, 10**6))
-                  if rng.random() < 0.5 else 1 << 62),
-        cl=13750,
-        burst=5000,
-        tccd=2500,
-    )
-
-
-class TestBatchIssue:
-    @pytest.mark.parametrize("with_outs", [False, True])
-    def test_matches_reference_on_random_state(self, other, with_outs):
-        rng = np.random.default_rng(SEED + with_outs)
-        for _ in range(60):
-            case = _random_issue_case(rng, with_outs)
-            ref = PY.batch_issue(**case)
-            got = other.batch_issue(**case)
-            assert ref[0] == got[0], case
-            assert _seq(ref[1]) == _seq(got[1]), case
-            assert _seq(ref[2]) == _seq(got[2]), case
-            assert _seq(ref[3]) == _seq(got[3]), case
-            # stall, posts, backlog (exact float), cas_last
-            assert ref[4:] == got[4:], case
-
-    def test_refresh_deadline_cuts_run(self, other):
-        case = _random_issue_case(np.random.default_rng(SEED), False)
-        case["next_ref"] = case["floor0"] + 1  # first line already too late
-        ref = PY.batch_issue(**case)
-        got = other.batch_issue(**case)
-        assert ref[0] == got[0] == 0
-
-    def test_post_budget_cuts_run(self, other):
-        case = _random_issue_case(np.random.default_rng(SEED + 7), True)
-        case["outs"] = np.full(len(case["cps"]), 128.0, dtype=np.float64)
-        case["post_budget"] = 2
-        ref = PY.batch_issue(**case)
-        got = other.batch_issue(**case)
-        assert ref[0] == got[0]
-        assert ref[5] == got[5] <= case["post_budget"]
+            assert PY.batch_row_timing(**case) == (cas_first, cas, de)
 
 
 def _fresh_tracker_state():

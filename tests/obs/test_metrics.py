@@ -91,10 +91,8 @@ class TestFFStatsMigration:
     def test_snapshot_schema(self):
         stats = FFStats()
         stats.lane_requests += 10
-        stats.batched_requests += 2
         snap = stats.snapshot()
-        assert snap == {"type": "ff_stats", "lane_requests": 10,
-                        "batched_requests": 2}
+        assert snap == {"type": "ff_stats", "lane_requests": 10}
 
     def test_register_into_exposes_live_gauges(self):
         stats = FFStats()
